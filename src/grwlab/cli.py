@@ -69,6 +69,14 @@ _UNITS_SCALED = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
@@ -83,6 +91,8 @@ def _number(section: dict, key: str, where: str, default=None):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: must be finite, got {value!r}")
     return float(value)
 
 
@@ -99,14 +109,12 @@ def _amplitude(section: dict, key: str, where: str, default: complex) -> complex
     value = section.get(key)
     if value is None:
         return default
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{where}.{key}: expected a number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if all(_is_finite_number(v) for v in parts):
+        return complex(float(parts[0]), float(parts[1]))
+    raise ConfigError(
+        f"{where}.{key}: expected a finite number or [re, im] pair, got {value!r}"
+    )
 
 
 def load_config(path: str | Path) -> dict:
@@ -165,7 +173,7 @@ def resolve_config(
             f"got {physics['kernel']!r}"
         )
     for key in ("hbar", "mass", "lam", "sigma", "window"):
-        if physics[key] <= 0 or not math.isfinite(physics[key]):
+        if physics[key] <= 0:
             raise ConfigError(f"physics.{key}: must be strictly positive, got {physics[key]}")
 
     sigma = physics["sigma"]
@@ -246,10 +254,12 @@ def _resolve_scenario_params(
         if (
             not isinstance(box, list)
             or len(box) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in box)
+            or not all(_is_finite_number(v) for v in box)
             or float(box[1]) <= float(box[0])
         ):
-            raise ConfigError(f"params.box: expected [lo, hi] with hi > lo, got {box!r}")
+            raise ConfigError(
+                f"params.box: expected finite [lo, hi] with hi > lo, got {box!r}"
+            )
         return {"inside_weight": inside_weight, "box": [float(box[0]), float(box[1])], "q": q}
 
     if scenario == "billiard_collision":
@@ -280,13 +290,10 @@ def _resolve_scenario_params(
         if (
             not isinstance(dt_list, list)
             or not dt_list
-            or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
-                for v in dt_list
-            )
+            or not all(_is_finite_number(v) and v >= 0 for v in dt_list)
         ):
             raise ConfigError(
-                f"params.dt_list: expected a non-empty list of dt >= 0, got {dt_list!r}"
+                f"params.dt_list: expected a non-empty list of finite dt >= 0, got {dt_list!r}"
             )
         return {"window": window, "dt_list": [float(v) for v in dt_list]}
 
@@ -366,7 +373,7 @@ def dispatch(config: dict) -> ScenarioResult:
 
 def _format_cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -95,8 +95,11 @@ class RngStream:
     """Counter-based random stream, reproducible across platforms.
 
     Wraps numpy's Philox generator.  Identical (seed, spawn_key) pairs yield
-    identical draw sequences; per-trial streams come from ``for_trial`` so
-    ensembles can run in any order or in parallel without changing results.
+    identical draw sequences.  ``for_trial`` gives a trial an independent
+    stream of any length; ``trial_uniforms`` gives each trial of an ensemble
+    one Philox counter block (four uniforms) under the seed's key, so a
+    trial's draws are a pure function of (seed, trial) and ensembles can run
+    in any order or in parallel without changing results.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -107,7 +110,20 @@ class RngStream:
 
     @classmethod
     def for_trial(cls, master_seed: int, trial: int) -> "RngStream":
+        """A full stream for one trial, keyed by (master_seed, trial)."""
         return cls(master_seed, spawn_key=(trial,))
+
+    @staticmethod
+    def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
+        """(n_trials, 4) uniforms in [0, 1): row i is Philox counter block i.
+
+        Under the key that ``RngStream(seed)`` uses, row i equals
+        ``Philox(key=key, counter=i).random_raw(4)`` mapped to doubles the
+        way numpy's ``Generator.random`` maps them (top 53 bits), so a row
+        depends only on (seed, trial) and not on n_trials.
+        """
+        bits = np.random.Philox(np.random.SeedSequence(int(seed))).random_raw(4 * n_trials)
+        return (bits.reshape(n_trials, 4) >> np.uint64(11)) * 2.0**-53
 
     def random(self) -> float:
         return float(self._gen.random())
@@ -252,6 +268,21 @@ def apply_hit(psi: WaveFunction1D, center: float, kernel: CollapseKernel) -> Wav
     return WaveFunction1D(grid, amps / np.sqrt(n2))
 
 
+def branch_hit_weights(
+    weights: np.ndarray, positions: np.ndarray, center: float, kernel: CollapseKernel
+) -> np.ndarray:
+    """Branch weights after a hit at ``center``, renormalized.
+
+    positions[k] is branch k's position of the hit particle; each weight is
+    multiplied by the kernel amplitude at its distance from the center.
+    """
+    new_weights = weights * kernel.amplitude_factor(np.abs(positions - center))
+    closure = float(np.sum(np.abs(new_weights) ** 2))
+    if closure < NORM_FLOOR:
+        raise ZeroNormError("hit annihilated every branch weight")
+    return new_weights / np.sqrt(closure)
+
+
 def apply_branch_hit(
     state: BranchedState,
     particle: int,
@@ -271,15 +302,8 @@ def apply_branch_hit(
     pre = state.probabilities
     k = rng.choose_index(pre)
     center = float(state.branches[k].positions[particle])
-    distances = np.array(
-        [abs(b.positions[particle] - center) for b in state.branches]
-    )
-    factors = kernel.amplitude_factor(distances)
-    new_weights = state.weights * factors
-    closure = float(np.sum(np.abs(new_weights) ** 2))
-    if closure < NORM_FLOOR:
-        raise ZeroNormError("hit annihilated every branch weight")
-    new_weights = new_weights / np.sqrt(closure)
+    positions = np.array([b.positions[particle] for b in state.branches])
+    new_weights = branch_hit_weights(state.weights, positions, center, kernel)
     branches = tuple(
         Branch(w, b.label, b.positions) for w, b in zip(new_weights, state.branches)
     )
@@ -371,5 +395,6 @@ __all__ = [
     "sample_center",
     "apply_hit",
     "apply_branch_hit",
+    "branch_hit_weights",
     "run_grw",
 ]

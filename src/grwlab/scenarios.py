@@ -3,8 +3,9 @@
 Each scenario packages a situation into a runnable unit returning a
 ScenarioResult: the parameters used, per-trial records, summary statistics
 (with the statistical half-widths used by any check), pass/fail verdicts,
-and plot-ready series.  Results are deterministic per seed, with per-trial
-random streams so ensembles are order-independent.
+and plot-ready series.  Results are deterministic per seed; each ensemble
+trial draws from its own Philox counter block, so ensembles are
+order-independent.
 
 Scenario defaults assume scaled desk units (hbar = m = 1, sigma order 1):
 the SI per-particle rate produces no events on any human timescale, which
@@ -25,9 +26,9 @@ from .collapse import (
     RngStream,
     apply_branch_hit,
     apply_hit,
+    branch_hit_weights,
     hit_rate,
     kernel_label,
-    sample_hit_time,
 )
 from .errors import BoundaryContamination, GridTooCoarseError, NotNormalizedError
 from .ontology import (
@@ -137,34 +138,45 @@ def measurement_chain(
     tail_if_0 = p1 * f2 / (p0 + p1 * f2)
     tail_if_1 = p0 * f2 / (p1 + p0 * f2)
 
-    records = []
-    for trial in range(n_trials):
-        rng = RngStream.for_trial(seed, trial)
-        t = sample_hit_time(n_pointer, params, rng)
-        particle = rng.integers(n_pointer)
-        _, event = apply_branch_hit(state, particle, kernel, rng, time=t)
-        selected = event.selected_branch
-        tail = 1.0 - event.post_weights[state.labels.index(selected)]
-        records.append(
-            {
-                "trial": trial,
-                "first_hit_time": t,
-                "particle": particle,
-                "selected_branch": selected,
-                "tail_weight": tail,
-            }
-        )
-
-    n0 = sum(1 for r in records if r["selected_branch"] == "0")
-    frequency_0 = n0 / n_trials
-    half_width = 3.0 * math.sqrt(p0 * (1.0 - p0) / n_trials)
-    mean_hit_time = float(np.mean([r["first_hit_time"] for r in records]))
-    expected_hit_time = 1.0 / rate
-    mean_tail = float(np.mean([r["tail_weight"] for r in records]))
-    tail_deviation = max(
-        abs(r["tail_weight"] - (tail_if_0 if r["selected_branch"] == "0" else tail_if_1))
-        for r in records
+    # One Philox counter block per trial: (wait, hit particle, branch, unused).
+    u = RngStream.trial_uniforms(seed, n_trials)
+    times = -np.log1p(-u[:, 0]) / rate
+    particles = np.minimum((u[:, 1] * n_pointer).astype(np.int64), n_pointer - 1)
+    cdf = np.cumsum(state.probabilities)
+    selected = np.minimum(
+        np.searchsorted(cdf, u[:, 2] * cdf[-1], side="right"), state.n_branches - 1
     )
+    # Every pointer particle of a branch sits at one position, so the post-hit
+    # tail weight depends only on the selected branch.
+    positions = np.array([b.positions[0] for b in state.branches])
+    tail_by_branch = np.array(
+        [
+            1.0 - (np.abs(branch_hit_weights(state.weights, positions, z, kernel)) ** 2)[k]
+            for k, z in enumerate(positions)
+        ]
+    )
+    tails = tail_by_branch[selected]
+    labels = state.labels
+    records = [
+        {
+            "trial": trial,
+            "first_hit_time": t,
+            "particle": particle,
+            "selected_branch": labels[k],
+            "tail_weight": tail,
+        }
+        for trial, (t, particle, k, tail) in enumerate(
+            zip(times.tolist(), particles.tolist(), selected.tolist(), tails.tolist())
+        )
+    ]
+
+    frequency_0 = int(np.count_nonzero(selected == 0)) / n_trials
+    half_width = 3.0 * math.sqrt(p0 * (1.0 - p0) / n_trials)
+    mean_hit_time = float(np.mean(times))
+    expected_hit_time = 1.0 / rate
+    mean_tail = float(np.mean(tails))
+    closed_form = np.where(selected == 0, tail_if_0, tail_if_1)
+    tail_deviation = float(np.max(np.abs(tails - closed_form)))
 
     summary = {
         "n_trials": n_trials,

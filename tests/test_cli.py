@@ -1,11 +1,13 @@
 """Command-line contract: validation, outputs, exit codes, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 import yaml
 
-from grwlab.cli import list_scenarios, main, resolve_config, run
+from grwlab.cli import _format_cell, list_scenarios, main, resolve_config, run
 from grwlab.errors import ConfigError
 
 
@@ -89,6 +91,38 @@ class TestRun:
         assert run(chain_config, seed_override=43) == 0
         assert (tmp_path / "out" / "series.trials.csv").read_bytes() != baseline
 
+    def test_trial_series_cells_parse_as_numbers(self, chain_config, tmp_path):
+        assert run(chain_config) == 0
+        lines = (tmp_path / "out" / "series.trials.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[3:]]
+        assert len(rows) == 300
+        for trial, (index, time, branch, tail) in enumerate(rows):
+            assert int(index) == trial
+            assert float(time) >= 0.0
+            assert branch in ("0", "1")
+            assert 0.0 < float(tail) < 1.0
+
+    @pytest.mark.parametrize(
+        "scenario, section, key, value",
+        [
+            ("measurement_chain", "params", "separation", math.nan),
+            ("measurement_chain", "params", "a", math.nan),
+            ("wallace_displacement", "grid", "x_min", math.nan),
+            ("marble_in_box", "params", "box", [-math.inf, 2.0]),
+            ("hegerfeldt_regrowth", "params", "dt_list", [math.inf]),
+        ],
+    )
+    def test_non_finite_value_exits_one_naming_field(
+        self, tmp_path, capsys, scenario, section, key, value
+    ):
+        config = write_config(
+            tmp_path / "nonfinite.yaml",
+            {"scenario": scenario, "out_dir": str(tmp_path / "out"), section: {key: value}},
+        )
+        assert run(config) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_series_header_names_units_and_coordinate(self, tmp_path):
         config = write_config(
             tmp_path / "marble.yaml",
@@ -121,6 +155,12 @@ class TestRun:
         )
         assert header.split(",")[0] == "x [m]"
         assert "matter_density [kg/m]" in header
+
+
+def test_numpy_float_cells_written_as_plain_floats():
+    assert _format_cell(np.float64(0.1)) == "0.1"
+    assert _format_cell(0.1) == "0.1"
+    assert _format_cell(3) == "3"
 
 
 class TestResolveConfig:

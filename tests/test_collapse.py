@@ -357,6 +357,21 @@ class TestRngStream:
         b = RngStream.for_trial(42, 1)
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
+    def test_trial_uniforms_row_is_its_counter_block(self):
+        seed = 42
+        key = np.random.Philox(np.random.SeedSequence(seed)).state["state"]["key"]
+        u = RngStream.trial_uniforms(seed, 50)
+        assert u.shape == (50, 4)
+        for trial in (0, 1, 17, 49):
+            raw = np.random.Philox(key=key, counter=trial).random_raw(4)
+            assert np.array_equal(u[trial], (raw >> np.uint64(11)) * 2.0**-53)
+        assert np.all((u >= 0.0) & (u < 1.0))
+
+    def test_trial_uniforms_do_not_depend_on_ensemble_size(self):
+        assert np.array_equal(
+            RngStream.trial_uniforms(9, 1000)[:37], RngStream.trial_uniforms(9, 37)
+        )
+
 
 class TestCollapseEvent:
     def test_negative_time_rejected(self):

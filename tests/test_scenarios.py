@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grwlab import CompactSupportKernel, GaussianKernel, Grid1D, PhysicsParams
+from grwlab import CompactSupportKernel, GaussianKernel, Grid1D, PhysicsParams, RngStream
 from grwlab.errors import (
     BoundaryContamination,
     GridTooCoarseError,
@@ -125,6 +125,41 @@ class TestMeasurementChain:
 
         assert run().summary == run().summary
         assert run().per_trial == run().per_trial
+
+    def test_summary_independent_of_trial_order(self, params, monkeypatch):
+        def run():
+            return measurement_chain(
+                a=math.sqrt(0.7),
+                b=math.sqrt(0.3),
+                n_pointer=100,
+                separation=4.0,
+                kernel=GaussianKernel(1.0),
+                params=params,
+                n_trials=2000,
+                seed=17,
+            )
+
+        baseline = run()
+        draws = RngStream.trial_uniforms
+        order = np.random.default_rng(0).permutation(2000)
+        monkeypatch.setattr(
+            RngStream, "trial_uniforms", staticmethod(lambda seed, n: draws(seed, n)[order])
+        )
+        permuted = run()
+
+        def draws_of(result):
+            return [row[1:] for row in result.series["trials"].rows]
+
+        assert draws_of(permuted) != draws_of(baseline)
+        assert sorted(draws_of(permuted)) == sorted(draws_of(baseline))
+        # the means are sums taken in another order: equal to rounding only
+        means = {"mean_first_hit_time", "mean_tail_weight"}
+        for key, value in baseline.summary.items():
+            if key in means:
+                assert permuted.summary[key] == pytest.approx(value, rel=1e-12)
+            else:
+                assert permuted.summary[key] == value, key
+        assert permuted.verdicts == baseline.verdicts
 
     def test_rejects_unnormalized_amplitudes(self, params):
         with pytest.raises(NotNormalizedError):
