@@ -35,14 +35,32 @@ from .state import (
     NORM_TOL,
     Branch,
     BranchedState,
+    Grid1D,
     PhysicsParams,
     WaveFunction1D,
     mod_square_density,
 )
 
 
+class _SmoothKernel:
+    """Grid behaviour shared by the kernels with a Gaussian interior."""
+
+    def localize(self, psi: WaveFunction1D, center: float) -> np.ndarray:
+        """Amplitudes multiplied by the kernel centered at z (not renormalized)."""
+        grid = psi.grid
+        return psi.amplitudes * self.amplitude_factor(grid.wrap(grid.points - center))
+
+    def center_density(self, rho: np.ndarray, grid: Grid1D) -> np.ndarray:
+        """p(z) at the grid points: rho circularly convolved with center_profile."""
+        profile = self.center_profile(grid.wrap(grid.points - grid.x_min))
+        # circular convolution: p_j = sum_i K(x_j - x_i) rho_i dx
+        p = np.fft.ifft(np.fft.fft(rho) * np.fft.fft(profile)).real * grid.dx
+        np.clip(p, 0.0, None, out=p)
+        return p
+
+
 @dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(_SmoothKernel):
     """Gaussian hit; never annihilates amplitude.
 
     Multiplies amplitudes by exp(-d^2 / (4 sigma^2)) at distance d from the
@@ -56,12 +74,21 @@ class GaussianKernel:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
+    @property
+    def label(self) -> str:
+        return f"gaussian(sigma={self.sigma!r})"
+
     def amplitude_factor(self, distance):
         return np.exp(-np.square(distance) / (4.0 * self.sigma**2))
 
+    def center_profile(self, offsets: np.ndarray) -> np.ndarray:
+        """Normal density of variance sigma^2 at the given offsets."""
+        sigma = self.sigma
+        return np.exp(-(offsets**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
+
 
 @dataclass(frozen=True)
-class CompactSupportKernel:
+class CompactSupportKernel(_SmoothKernel):
     """Gaussian interior truncated to |x - z| <= window, then renormalized.
 
     Inside the window amplitudes are multiplied by exp(-d^2 / (4 sigma^2)),
@@ -78,29 +105,49 @@ class CompactSupportKernel:
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window}")
 
+    @property
+    def label(self) -> str:
+        return f"compact_support(sigma={self.sigma!r}, window={self.window!r})"
+
     def amplitude_factor(self, distance):
         d = np.asarray(distance, dtype=np.float64)
         inside = np.abs(d) <= self.window
         return np.exp(-np.square(d) / (4.0 * self.sigma**2)) * inside
+
+    def center_profile(self, offsets: np.ndarray) -> np.ndarray:
+        profile = GaussianKernel(self.sigma).center_profile(offsets)
+        profile = profile * (np.abs(offsets) <= self.window)
+        return profile / math.erf(self.window / (self.sigma * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
 class IdealKernel:
     """Projection onto the single grid cell nearest the center (unphysical)."""
 
+    label = "ideal"
+
     def amplitude_factor(self, distance):
         return (np.asarray(distance, dtype=np.float64) == 0.0).astype(np.float64)
+
+    def localize(self, psi: WaveFunction1D, center: float) -> np.ndarray:
+        idx = psi.grid.nearest_index(center)
+        amps = np.zeros(psi.grid.n_points, dtype=np.complex128)
+        amps[idx] = psi.amplitudes[idx]
+        return amps
+
+    def center_density(self, rho: np.ndarray, grid: Grid1D) -> np.ndarray:
+        # zero-width limit: the center density is the mod-square density
+        return rho.copy()
 
 
 CollapseKernel = GaussianKernel | CompactSupportKernel | IdealKernel
 
-
-def kernel_label(kernel: CollapseKernel) -> str:
-    if isinstance(kernel, GaussianKernel):
-        return f"gaussian(sigma={kernel.sigma!r})"
-    if isinstance(kernel, CompactSupportKernel):
-        return f"compact_support(sigma={kernel.sigma!r}, window={kernel.window!r})"
-    return "ideal"
+# physics.kernel names and their constructors from (sigma, window)
+KERNELS = {
+    "gaussian": lambda sigma, window: GaussianKernel(sigma),
+    "compact_support": CompactSupportKernel,
+    "ideal": lambda sigma, window: IdealKernel(),
+}
 
 
 class RngStream:
@@ -215,26 +262,6 @@ def sample_hit_time(n_particles: int, params: PhysicsParams, rng: RngStream) -> 
     return rng.exponential(1.0 / hit_rate(n_particles, params))
 
 
-def _center_density(psi: WaveFunction1D, kernel: CollapseKernel) -> np.ndarray:
-    """p(z) = |L_z psi|^2 evaluated at the grid points (sums to ~1/dx)."""
-    grid = psi.grid
-    rho = mod_square_density(psi)
-    if isinstance(kernel, IdealKernel):
-        # zero-width limit: the center density is the mod-square density
-        return rho.copy()
-    sigma = kernel.sigma
-    offsets = grid.wrap(grid.points - grid.x_min)
-    profile = np.exp(-(offsets**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
-    if isinstance(kernel, CompactSupportKernel):
-        profile = profile * (np.abs(offsets) <= kernel.window)
-        retained = math.erf(kernel.window / (sigma * math.sqrt(2.0)))
-        profile = profile / retained
-    # circular convolution: p_j = sum_i K(x_j - x_i) rho_i dx
-    p = np.fft.ifft(np.fft.fft(rho) * np.fft.fft(profile)).real * grid.dx
-    np.clip(p, 0.0, None, out=p)
-    return p
-
-
 def sample_center(
     psi: WaveFunction1D,
     kernel: CollapseKernel,
@@ -247,7 +274,7 @@ def sample_center(
     resolution and reproducible.  For the ideal kernel p reduces to the
     mod-square density itself (zero-width limit).
     """
-    p = _center_density(psi, kernel)
+    p = kernel.center_density(mod_square_density(psi), psi.grid)
     cdf = np.cumsum(p)
     if cdf[-1] < NORM_FLOOR:
         raise ZeroNormError("center density vanishes everywhere")
@@ -264,20 +291,11 @@ def apply_hit(psi: WaveFunction1D, center: float, kernel: CollapseKernel) -> Wav
     compact-support hit zeroes amplitudes beyond its window exactly; the
     ideal hit keeps only the single grid cell nearest z.
     """
-    grid = psi.grid
-    if isinstance(kernel, IdealKernel):
-        idx = grid.nearest_index(center)
-        amps = np.zeros(grid.n_points, dtype=np.complex128)
-        amps[idx] = psi.amplitudes[idx]
-    else:
-        d = grid.wrap(grid.points - center)
-        amps = psi.amplitudes * kernel.amplitude_factor(d)
-    n2 = float(np.sum(np.abs(amps) ** 2) * grid.dx)
+    amps = kernel.localize(psi, center)
+    n2 = float(np.sum(np.abs(amps) ** 2) * psi.grid.dx)
     if n2 < NORM_FLOOR:
-        raise ZeroNormError(
-            f"hit at z = {center!r} with {kernel_label(kernel)} annihilated the state"
-        )
-    return WaveFunction1D(grid, amps / np.sqrt(n2))
+        raise ZeroNormError(f"hit at z = {center!r} with {kernel.label} annihilated the state")
+    return WaveFunction1D(psi.grid, amps / np.sqrt(n2))
 
 
 def branch_hit_weights(
@@ -324,7 +342,7 @@ def apply_branch_hit(
         time=time,
         particle=particle,
         center=center,
-        kernel=kernel_label(kernel),
+        kernel=kernel.label,
         selected_branch=state.branches[k].label,
         pre_weights=tuple(float(p) for p in pre),
         post_weights=tuple(float(p) for p in new_state.probabilities),
@@ -389,7 +407,7 @@ def run_grw(
         center = sample_center(psi, kernel, rng)
         psi = apply_hit(psi, center, kernel)
         events.append(
-            CollapseEvent(time=t, particle=0, center=center, kernel=kernel_label(kernel))
+            CollapseEvent(time=t, particle=0, center=center, kernel=kernel.label)
         )
     return psi, events
 
@@ -401,7 +419,7 @@ __all__ = [
     "CollapseKernel",
     "CollapseEvent",
     "RngStream",
-    "kernel_label",
+    "KERNELS",
     "hit_rate",
     "sample_hit_time",
     "sample_center",

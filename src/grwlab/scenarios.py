@@ -1,11 +1,15 @@
 """Reproducible seeded experiments, one per concrete physical situation.
 
 Each scenario packages a situation into a runnable unit returning a
-ScenarioResult: the parameters used, per-trial records, summary statistics
-(with the statistical half-widths used by any check), pass/fail verdicts,
-and plot-ready series.  Results are deterministic per seed; each ensemble
+ScenarioResult: the parameters used, summary statistics (with the
+statistical half-widths used by any check), pass/fail verdicts, and
+plot-ready series.  Results are deterministic per seed; each ensemble
 trial draws from its own Philox counter block, so ensembles are
 order-independent.
+
+``SCENARIOS`` at the end of the module is the registry: one spec per
+scenario declaring its description, default grid, config fields (parser,
+default, bound), cross-field rules, and how the command line calls it.
 
 Scenario defaults assume scaled desk units (hbar = m = 1, sigma order 1):
 the SI per-particle rate produces no events on any human timescale, which
@@ -15,11 +19,13 @@ is the point of the rate-amplification arithmetic in measurement_chain.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .collapse import (
+    KERNELS,
     CompactSupportKernel,
     CollapseKernel,
     GaussianKernel,
@@ -28,9 +34,8 @@ from .collapse import (
     apply_hit,
     branch_hit_weights,
     hit_rate,
-    kernel_label,
 )
-from .errors import BoundaryContamination, GridTooCoarseError, NotNormalizedError
+from .errors import BoundaryContamination, ConfigError, GridTooCoarseError, NotNormalizedError
 from .ontology import (
     TailReport,
     displaced_tail_center,
@@ -60,9 +65,6 @@ class Series:
     columns: list[tuple[str, str]]
     rows: list[list]
 
-    def to_dict(self) -> dict:
-        return {"columns": [list(c) for c in self.columns], "rows": self.rows}
-
 
 @dataclass
 class ScenarioResult:
@@ -70,7 +72,7 @@ class ScenarioResult:
 
     name: str
     params: dict
-    per_trial: list[dict] = field(default_factory=list)
+    n_trials_recorded: int = 0
     summary: dict = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
     series: dict[str, Series] = field(default_factory=dict)
@@ -81,7 +83,7 @@ class ScenarioResult:
             "params": self.params,
             "summary": self.summary,
             "verdicts": self.verdicts,
-            "n_trials_recorded": len(self.per_trial),
+            "n_trials_recorded": self.n_trials_recorded,
         }
 
 
@@ -139,15 +141,15 @@ def measurement_chain(
     tail_if_1 = p0 * f2 / (p1 + p0 * f2)
 
     # One Philox counter block per trial: (wait, hit particle, branch, unused).
+    # Every pointer particle of a branch sits at one position, so the hit
+    # particle does not change the outcome and its draw goes unused.
     u = RngStream.trial_uniforms(seed, n_trials)
     times = -np.log1p(-u[:, 0]) / rate
-    particles = np.minimum((u[:, 1] * n_pointer).astype(np.int64), n_pointer - 1)
     cdf = np.cumsum(state.probabilities)
     selected = np.minimum(
         np.searchsorted(cdf, u[:, 2] * cdf[-1], side="right"), state.n_branches - 1
     )
-    # Every pointer particle of a branch sits at one position, so the post-hit
-    # tail weight depends only on the selected branch.
+    # The post-hit tail weight depends only on the selected branch.
     positions = np.array([b.positions[0] for b in state.branches])
     tail_by_branch = np.array(
         [
@@ -157,18 +159,6 @@ def measurement_chain(
     )
     tails = tail_by_branch[selected]
     labels = state.labels
-    records = [
-        {
-            "trial": trial,
-            "first_hit_time": t,
-            "particle": particle,
-            "selected_branch": labels[k],
-            "tail_weight": tail,
-        }
-        for trial, (t, particle, k, tail) in enumerate(
-            zip(times.tolist(), particles.tolist(), selected.tolist(), tails.tolist())
-        )
-    ]
 
     frequency_0 = int(np.count_nonzero(selected == 0)) / n_trials
     half_width = 3.0 * math.sqrt(p0 * (1.0 - p0) / n_trials)
@@ -206,8 +196,10 @@ def measurement_chain(
                 ("tail_weight", "fraction"),
             ],
             rows=[
-                [r["trial"], r["first_hit_time"], r["selected_branch"], r["tail_weight"]]
-                for r in records
+                [trial, t, labels[k], tail]
+                for trial, (t, k, tail) in enumerate(
+                    zip(times.tolist(), selected.tolist(), tails.tolist())
+                )
             ],
         )
     }
@@ -218,12 +210,12 @@ def measurement_chain(
             "b": repr(complex(b)),
             "n_pointer": n_pointer,
             "separation": separation,
-            "kernel": kernel_label(kernel),
+            "kernel": kernel.label,
             "lam": params.lam,
             "n_trials": n_trials,
             "seed": seed,
         },
-        per_trial=records,
+        n_trials_recorded=n_trials,
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -324,10 +316,10 @@ def marble_in_box(
             "inside_weight": inside_weight,
             "box": [lo, hi],
             "q": q,
-            "kernel": kernel_label(kernel),
+            "kernel": kernel.label,
             "seed": seed,
         },
-        per_trial=[event.to_dict()],
+        n_trials_recorded=1,
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -579,12 +571,17 @@ def kernel_dilemma(
     if not isinstance(kernel_b, CompactSupportKernel):
         raise TypeError("kernel_b must be a CompactSupportKernel")
     sigma = kernel_a.sigma
-    separation = 4.0 * sigma if separation is None else separation
-    packet_width = sigma / 8.0 if packet_width is None else packet_width
+    # missing arguments take the command line's defaults
+    spec = SCENARIOS["kernel_dilemma"]
+    if separation is None:
+        separation = spec.fields["separation"].default_for({"sigma": sigma})
+    if packet_width is None:
+        packet_width = spec.fields["packet_width"].default_for({"sigma": sigma})
     # regrow time in units of the packet dispersion scale m sigma^2 / hbar
     regrow_dt = 0.1 * params.mass * sigma**2 / params.hbar if regrow_dt is None else regrow_dt
     if grid is None:
-        grid = Grid1D(-16.0 * sigma, 16.0 * sigma, 2048)
+        half_width, n_points = spec.grid
+        grid = Grid1D(-half_width * sigma, half_width * sigma, n_points)
     if kernel_b.window >= separation / 2.0:
         raise ValueError("compact window must be smaller than half the separation")
 
@@ -639,12 +636,12 @@ def kernel_dilemma(
         "selected_branch": int(selected),
         "collapse_center": z,
         "gaussian": {
-            "kernel": kernel_label(kernel_a),
+            "kernel": kernel_a.label,
             "post_hit_tail_weight": gauss["post_hit_tail_weight"],
             "tail_isomorphism": gauss["tail_isomorphism"],
         },
         "compact_support": {
-            "kernel": kernel_label(kernel_b),
+            "kernel": kernel_b.label,
             "post_hit_tail_weight": compact["post_hit_tail_weight"],
             "regrown_mass_outside_window": compact["regrown_mass_outside_window"],
             "tail_weight_after_regrowth": compact["tail_weight_after_regrowth"],
@@ -682,8 +679,8 @@ def kernel_dilemma(
     return ScenarioResult(
         name="kernel_dilemma",
         params={
-            "kernel_a": kernel_label(kernel_a),
-            "kernel_b": kernel_label(kernel_b),
+            "kernel_a": kernel_a.label,
+            "kernel_b": kernel_b.label,
             "separation": separation,
             "packet_width": packet_width,
             "regrow_dt": regrow_dt,
@@ -696,17 +693,239 @@ def kernel_dilemma(
     )
 
 
-SCENARIO_DESCRIPTIONS = {
-    "measurement_chain": "amplified two-outcome measurement: Born selection statistics, "
-    "per-hit tail weight, and first-hit times at rate n_pointer * lam",
-    "marble_in_box": "matter-density marble split inside/outside a box: mass ledger, "
-    "fuzzy-link location verdict, and inside-vs-outside structure score",
-    "billiard_collision": "four-sector post-collision superposition with amplitude "
-    "coefficients (a^2, b^2, ab, ab) and a high/low density classification",
-    "wallace_displacement": "tail-peak displacement toward the collapse center under a "
-    "Gaussian hit, analytic law vs grid argmax",
-    "hegerfeldt_regrowth": "instantaneous tail regrowth of a compact-truncated packet "
-    "under free unitary evolution",
-    "kernel_dilemma": "Gaussian vs compact-support hits side by side: persistent "
-    "structured tail vs exact truncation plus structureless regrowth",
+# Registry.  Config values are parsed by (field name, raw value) -> value
+# functions that raise ConfigError naming the field.
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite_floats(value) -> list[float] | None:
+    """A list of finite numbers as floats; None for anything else."""
+    if isinstance(value, list) and all(_is_finite_number(v) for v in value):
+        return [float(v) for v in value]
+    return None
+
+
+def parse_number(name: str, value) -> float:
+    if not _is_finite_number(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def parse_integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def _parse_amplitude(name: str, value) -> list[float]:
+    """A real number or an [re, im] pair, resolved to [re, im]."""
+    pair = _finite_floats(value if isinstance(value, list) else [value, 0.0])
+    if pair is None or len(pair) != 2:
+        raise ConfigError(f"{name}: expected a finite number or [re, im] pair, got {value!r}")
+    return pair
+
+
+def _parse_interval(name: str, value) -> list[float]:
+    box = _finite_floats(value)
+    if box is None or len(box) != 2 or box[1] <= box[0]:
+        raise ConfigError(f"{name}: expected finite [lo, hi] with hi > lo, got {value!r}")
+    return box
+
+
+def _parse_dt_list(name: str, value) -> list[float]:
+    dts = _finite_floats(value)
+    if not dts or min(dts) < 0:
+        raise ConfigError(f"{name}: expected a non-empty list of finite dt >= 0, got {value!r}")
+    return dts
+
+
+POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field.  ``default`` is a value or a function of the
+    section's context (for params, the resolved physics block); ``bound``
+    is a (predicate, message) pair checked on the parsed value."""
+
+    parse: Callable[[str, object], object]
+    default: object = None
+    bound: tuple[Callable[[object], bool], str] | None = None
+
+    def default_for(self, context):
+        return self.default(context) if callable(self.default) else self.default
+
+
+def reject_unknown(section: dict, allowed, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed keys are {sorted(allowed)}")
+
+
+def resolve_fields(section, where: str, fields: dict[str, Field], context) -> dict:
+    """Parse one config mapping: reject unknown keys, fill defaults, check bounds.
+
+    A missing or null field takes its default; a None default stays None.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping")
+    reject_unknown(section, fields, where)
+    resolved = {}
+    for key, entry in fields.items():
+        name, value = f"{where}.{key}", section.get(key)
+        if value is None:
+            value = entry.default_for(context)
+        if value is not None:
+            value = entry.parse(name, value)
+            if entry.bound is not None and not entry.bound[0](value):
+                raise ConfigError(f"{name}: {entry.bound[1]}, got {value}")
+        resolved[key] = value
+    return resolved
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """Everything the command line knows about one scenario.
+
+    ``grid``: the default grid, (half-width in units of sigma, n_points)
+    centred on zero.  ``check(params, physics, grid)`` raises ConfigError
+    for rules that span fields.  ``run(params, physics, grid, seed)`` calls
+    the scenario with the resolved config blocks and a Grid1D.
+    """
+
+    description: str
+    fields: dict[str, Field]
+    run: Callable[[dict, dict, Grid1D, int], ScenarioResult]
+    check: Callable[[dict, dict, dict], None] | None = None
+    grid: tuple[float, int] = (16.0, 2048)
+
+
+def _physics_params(physics: dict) -> PhysicsParams:
+    return PhysicsParams(physics["hbar"], physics["mass"], physics["lam"], physics["sigma"])
+
+
+def _kernel(physics: dict) -> CollapseKernel:
+    return KERNELS[physics["kernel"]](physics["sigma"], physics["window"])
+
+
+def _amplitudes_close(params: dict, physics: dict, grid: dict) -> None:
+    closure = abs(complex(*params["a"])) ** 2 + abs(complex(*params["b"])) ** 2
+    if abs(closure - 1.0) > 1e-9:
+        raise ConfigError(f"params.a/b: |a|^2 + |b|^2 = {closure!r}, must equal 1")
+
+
+def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
+    # The hit at x is periodic and the analytic tail peak is not: both
+    # centres must lie in the box, closer together than half its length.
+    x, y, lo, hi = params["x"], params["y"], grid["x_min"], grid["x_max"]
+    if x == y:
+        raise ConfigError("params.x/y: x and y must differ")
+    for key in ("x", "y"):
+        if not lo <= params[key] < hi:
+            raise ConfigError(
+                f"params.{key}: must lie in [grid.x_min, grid.x_max) = [{lo}, {hi}), "
+                f"got {params[key]}"
+            )
+    if abs(y - x) >= 0.5 * (hi - lo):
+        raise ConfigError(
+            "params.x/y: |y - x| must be less than half the grid length "
+            f"({0.5 * (hi - lo)}), got {abs(y - x)}"
+        )
+
+
+def _window_inside_separation(params: dict, physics: dict, grid: dict) -> None:
+    half = params["separation"] / 2.0
+    if physics["window"] >= half:
+        raise ConfigError(
+            f"physics.window: must be smaller than params.separation / 2 = {half}, "
+            f"got {physics['window']}"
+        )
+
+
+SCENARIOS: dict[str, ScenarioSpec] = {
+    "measurement_chain": ScenarioSpec(
+        description="amplified two-outcome measurement: Born selection statistics, "
+        "per-hit tail weight, and first-hit times at rate n_pointer * lam",
+        fields={
+            "a": Field(_parse_amplitude, math.sqrt(0.7)),
+            "b": Field(_parse_amplitude, math.sqrt(0.3)),
+            "n_pointer": Field(parse_integer, 1000, _AT_LEAST_ONE),
+            "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
+            "n_trials": Field(parse_integer, 10000, _AT_LEAST_ONE),
+        },
+        check=_amplitudes_close,
+        run=lambda p, ph, grid, seed: measurement_chain(
+            complex(*p["a"]), complex(*p["b"]), p["n_pointer"], p["separation"],
+            _kernel(ph), _physics_params(ph), p["n_trials"], seed,
+        ),
+    ),
+    "marble_in_box": ScenarioSpec(
+        description="matter-density marble split inside/outside a box: mass ledger, "
+        "fuzzy-link location verdict, and inside-vs-outside structure score",
+        fields={
+            "inside_weight": Field(parse_number, 0.95, (lambda v: 0 < v < 1, "must lie in (0, 1)")),
+            "box": Field(_parse_interval, [-2.0, 2.0]),
+            "q": Field(
+                parse_number, 0.1, (lambda v: 0 < v < 0.5, "must lie in the open interval (0, 0.5)")
+            ),
+        },
+        run=lambda p, ph, grid, seed: marble_in_box(
+            p["inside_weight"], tuple(p["box"]), p["q"], _kernel(ph), _physics_params(ph), seed
+        ),
+    ),
+    "billiard_collision": ScenarioSpec(
+        description="four-sector post-collision superposition with amplitude "
+        "coefficients (a^2, b^2, ab, ab) and a high/low density classification",
+        fields={
+            "a": Field(_parse_amplitude, math.sqrt(0.9)),
+            "b": Field(_parse_amplitude, math.sqrt(0.1)),
+        },
+        check=_amplitudes_close,
+        run=lambda p, ph, grid, seed: billiard_collision(complex(*p["a"]), complex(*p["b"])),
+    ),
+    "wallace_displacement": ScenarioSpec(
+        description="tail-peak displacement toward the collapse center under a "
+        "Gaussian hit, analytic law vs grid argmax",
+        fields={
+            "x": Field(parse_number, 0.0),
+            "y": Field(parse_number, lambda ph: 10.0 * ph["sigma"]),
+            "s": Field(parse_number, lambda ph: ph["sigma"], POSITIVE),
+        },
+        check=_centers_in_box,
+        grid=(32.0, 4096),
+        run=lambda p, ph, grid, seed: wallace_displacement(
+            p["x"], p["y"], p["s"], ph["sigma"], grid
+        ),
+    ),
+    "hegerfeldt_regrowth": ScenarioSpec(
+        description="instantaneous tail regrowth of a compact-truncated packet "
+        "under free unitary evolution",
+        fields={
+            "window": Field(parse_number, lambda ph: ph["window"], POSITIVE),
+            "dt_list": Field(_parse_dt_list, [0.0, 1e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]),
+        },
+        grid=(64.0, 4096),
+        run=lambda p, ph, grid, seed: hegerfeldt_regrowth(
+            p["window"], p["dt_list"], _physics_params(ph), grid
+        ),
+    ),
+    "kernel_dilemma": ScenarioSpec(
+        description="Gaussian vs compact-support hits side by side: persistent "
+        "structured tail vs exact truncation plus structureless regrowth",
+        fields={
+            "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
+            "packet_width": Field(parse_number, lambda ph: ph["sigma"] / 8.0, POSITIVE),
+            # None: 0.1 m sigma^2 / hbar, set by kernel_dilemma
+            "regrow_dt": Field(parse_number, None, POSITIVE),
+        },
+        check=_window_inside_separation,
+        run=lambda p, ph, grid, seed: kernel_dilemma(
+            GaussianKernel(ph["sigma"]), CompactSupportKernel(ph["sigma"], ph["window"]),
+            _physics_params(ph), grid, p["separation"], p["packet_width"], p["regrow_dt"], seed,
+        ),
+    ),
 }

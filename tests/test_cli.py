@@ -123,6 +123,28 @@ class TestRun:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, sections, field",
+        [
+            ("kernel_dilemma", {"physics": {"window": 3.0}}, "physics.window"),
+            ("kernel_dilemma", {"physics": {"window": 2.0}}, "physics.window"),
+            ("kernel_dilemma", {"params": {"separation": 1.0}}, "physics.window"),
+            ("wallace_displacement", {"params": {"y": 100}}, "params.y"),
+            ("wallace_displacement", {"params": {"x": -40, "y": -30}}, "params.x"),
+            ("wallace_displacement", {"params": {"x": -30, "y": 30}}, "params.x/y"),
+        ],
+    )
+    def test_cross_field_violation_exits_one_naming_field(
+        self, tmp_path, capsys, scenario, sections, field
+    ):
+        config = write_config(
+            tmp_path / "cross.yaml",
+            {"scenario": scenario, "out_dir": str(tmp_path / "out"), **sections},
+        )
+        assert run(config) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_series_header_names_units_and_coordinate(self, tmp_path):
         config = write_config(
             tmp_path / "marble.yaml",

@@ -12,7 +12,7 @@ from grwlab.errors import (
     NotNormalizedError,
 )
 from grwlab.scenarios import (
-    SCENARIO_DESCRIPTIONS,
+    SCENARIOS,
     billiard_collision,
     hegerfeldt_regrowth,
     kernel_dilemma,
@@ -104,10 +104,10 @@ class TestMeasurementChain:
             n_trials=400,
             seed=5,
         )
-        records = result.per_trial
-        frequency = sum(1 for r in records if r["selected_branch"] == "0") / len(records)
+        rows = result.series["trials"].rows
+        frequency = sum(1 for _, _, branch, _ in rows if branch == "0") / len(rows)
         assert frequency == result.summary["selection_frequency_0"]
-        mean_time = float(np.mean([r["first_hit_time"] for r in records]))
+        mean_time = float(np.mean([time for _, time, _, _ in rows]))
         assert mean_time == result.summary["mean_first_hit_time"]
 
     def test_deterministic_per_seed(self, params):
@@ -124,7 +124,7 @@ class TestMeasurementChain:
             )
 
         assert run().summary == run().summary
-        assert run().per_trial == run().per_trial
+        assert run().series["trials"].rows == run().series["trials"].rows
 
     def test_summary_independent_of_trial_order(self, params, monkeypatch):
         def run():
@@ -371,6 +371,6 @@ class TestKernelDilemma:
 
 
 def test_six_scenarios_catalogued():
-    assert len(SCENARIO_DESCRIPTIONS) == 6
-    assert "hegerfeldt_regrowth" in SCENARIO_DESCRIPTIONS
-    assert "wallace_displacement" in SCENARIO_DESCRIPTIONS
+    assert len(SCENARIOS) == 6
+    assert "hegerfeldt_regrowth" in SCENARIOS
+    assert "wallace_displacement" in SCENARIOS
