@@ -86,6 +86,17 @@ class GaussianKernel(_SmoothKernel):
         sigma = self.sigma
         return np.exp(-(offsets**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
 
+    def product_rule_profiles(self, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+        """g^2, g g' and g'^2 at offsets z - x, for the normalized amplitude kernel g.
+
+        g^2 is center_profile and g' = -(x - z) / (2 sigma^2) g, so every
+        post-hit energy follows from correlations with these three profiles
+        (see ontology.post_hit_energies).
+        """
+        g2 = self.center_profile(offsets)
+        s2 = self.sigma**2
+        return g2, offsets / (2.0 * s2) * g2, offsets**2 / (4.0 * s2**2) * g2
+
 
 @dataclass(frozen=True)
 class CompactSupportKernel(_SmoothKernel):
@@ -119,6 +130,10 @@ class CompactSupportKernel(_SmoothKernel):
         profile = profile * (np.abs(offsets) <= self.window)
         return profile / math.erf(self.window / (self.sigma * math.sqrt(2.0)))
 
+    def product_rule_profiles(self, offsets: np.ndarray) -> None:
+        """None: the jump at the window edge has no product rule, so each hit is priced."""
+        return None
+
 
 @dataclass(frozen=True)
 class IdealKernel:
@@ -138,6 +153,10 @@ class IdealKernel:
     def center_density(self, rho: np.ndarray, grid: Grid1D) -> np.ndarray:
         # zero-width limit: the center density is the mod-square density
         return rho.copy()
+
+    def product_rule_profiles(self, offsets: np.ndarray) -> None:
+        """None: a one-cell projection has no product rule, so each hit is priced."""
+        return None
 
 
 CollapseKernel = GaussianKernel | CompactSupportKernel | IdealKernel
@@ -275,13 +294,20 @@ def sample_center(
     mod-square density itself (zero-width limit).
     """
     p = kernel.center_density(mod_square_density(psi), psi.grid)
-    cdf = np.cumsum(p)
+    centers = psi.grid.points[draw_center_indices(p, rng, size or 1)]
+    return centers if size is not None else float(centers[0])
+
+
+def draw_center_indices(density: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
+    """Grid indices of ``size`` centers drawn by inverse CDF from a center density.
+
+    Consumes ``rng.uniforms(size)``, one uniform per center.
+    """
+    cdf = np.cumsum(density)
     if cdf[-1] < NORM_FLOOR:
         raise ZeroNormError("center density vanishes everywhere")
-    u = rng.uniforms(size or 1) * cdf[-1]
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), psi.grid.n_points - 1)
-    centers = psi.grid.points[idx]
-    return centers if size is not None else float(centers[0])
+    u = rng.uniforms(size) * cdf[-1]
+    return np.minimum(np.searchsorted(cdf, u, side="right"), density.size - 1)
 
 
 def apply_hit(psi: WaveFunction1D, center: float, kernel: CollapseKernel) -> WaveFunction1D:
@@ -423,6 +449,7 @@ __all__ = [
     "hit_rate",
     "sample_hit_time",
     "sample_center",
+    "draw_center_indices",
     "apply_hit",
     "apply_branch_hit",
     "branch_hit_weights",

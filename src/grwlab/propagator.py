@@ -43,10 +43,6 @@ class Potential1D:
         object.__setattr__(self, "values", v)
 
 
-def free_potential(grid: Grid1D) -> Potential1D:
-    return Potential1D(grid, np.zeros(grid.n_points))
-
-
 def harmonic_potential(
     grid: Grid1D, params: PhysicsParams, omega: float, center: float = 0.0
 ) -> Potential1D:

@@ -19,6 +19,7 @@ is the point of the rate-amplification arithmetic in measurement_chain.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -835,6 +836,19 @@ def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
             "params.x/y: |y - x| must be less than half the grid length "
             f"({0.5 * (hi - lo)}), got {abs(y - x)}"
         )
+    # The hit leaves the tail lobe a Gaussian of peak density
+    # exp(-(y - x)^2 / (2 (sigma^2 + s^2))) / sqrt(2 pi s^2).  The structure
+    # score squares the lobe: below a normal float the lobe's l2 norm is 0
+    # and its argmax meaningless.
+    s = params["s"]
+    suppression = (y - x) ** 2 / (2.0 * (physics["sigma"] ** 2 + s**2))
+    limit = -0.5 * math.log(sys.float_info.min) - 0.5 * math.log(2.0 * math.pi * s**2)
+    if suppression > limit:
+        raise ConfigError(
+            "params.x/y: the hit suppresses the tail peak by exp(-(y - x)^2 / "
+            f"(2 (sigma^2 + s^2))) = exp(-{suppression:.6g}); its square must be a "
+            f"normal float, so the exponent may be at most {limit:.6g}"
+        )
 
 
 def _window_inside_separation(params: dict, physics: dict, grid: dict) -> None:
@@ -843,6 +857,15 @@ def _window_inside_separation(params: dict, physics: dict, grid: dict) -> None:
         raise ConfigError(
             f"physics.window: must be smaller than params.separation / 2 = {half}, "
             f"got {physics['window']}"
+        )
+    # the second packet must lie inside the periodic box with its tails
+    # (5 widths: mod-square density down by exp(-12.5))
+    margin = 5.0 * params["packet_width"]
+    lo, hi = grid["x_min"] + margin, grid["x_max"] - margin
+    if not lo <= params["separation"] < hi:
+        raise ConfigError(
+            "params.separation: the packet there must lie 5 packet widths inside the "
+            f"grid, in [{lo}, {hi}), got {params['separation']}"
         )
 
 

@@ -132,6 +132,18 @@ class TestRun:
             ("wallace_displacement", {"params": {"y": 100}}, "params.y"),
             ("wallace_displacement", {"params": {"x": -40, "y": -30}}, "params.x"),
             ("wallace_displacement", {"params": {"x": -30, "y": 30}}, "params.x/y"),
+            # the hit-suppressed tail lobe underflows to exactly 0
+            (
+                "wallace_displacement",
+                {
+                    "physics": {"sigma": 0.5},
+                    "grid": {"x_min": -32, "x_max": 32, "n_points": 4096},
+                    "params": {"x": 0, "y": 31, "s": 0.5},
+                },
+                "params.x/y",
+            ),
+            # the second packet lies outside the default (-16, 16) box
+            ("kernel_dilemma", {"params": {"separation": 40}}, "params.separation"),
         ],
     )
     def test_cross_field_violation_exits_one_naming_field(

@@ -27,15 +27,21 @@ from grwlab import (
     matter_density,
     mod_square_density,
     peak_position,
+    sample_center,
     superposition,
     tail_mass,
     uniform_state,
 )
+from grwlab import ontology
+from grwlab.collapse import draw_center_indices
 from grwlab.errors import (
     DegenerateRegionError,
     MassMismatchError,
+    ZeroNormError,
     ZeroProfileError,
 )
+from grwlab.ontology import post_hit_energies
+from grwlab.state import NORM_FLOOR
 
 
 def finite_difference_energy(psi, params, potential_values=None):
@@ -395,6 +401,87 @@ class TestEnergyGainPerHit:
         )
         assert math.isfinite(compact_mean)
         assert compact_mean > gaussian_mean > 0
+
+    LEDGER_GRID = Grid1D(-32.0, 32.0, 2048)
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            # |psi'|^2 carries the k0^2 rho term of the mean momentum
+            gaussian_packet(LEDGER_GRID, -3.0, 2.0, wavenumber=3.0),
+            # interference between unequal, differently moving packets makes
+            # the post-hit energy depend on the center
+            superposition(
+                [
+                    (math.sqrt(0.8), gaussian_packet(LEDGER_GRID, -6.0, 1.5)),
+                    (math.sqrt(0.2), gaussian_packet(LEDGER_GRID, 7.0, 0.8, wavenumber=-1.5)),
+                ]
+            ),
+            # two sigma from x_max: packet, kernel and correlations wrap
+            gaussian_packet(LEDGER_GRID, 30.0, 1.0),
+        ],
+        ids=["moving_packet", "unequal_superposition", "near_edge"],
+    )
+    def test_closed_form_matches_per_hit_energies(self, psi):
+        grid = self.LEDGER_GRID
+        params = PhysicsParams.scaled()
+        kernel = GaussianKernel(1.0)
+        density = kernel.center_density(mod_square_density(psi), grid)
+        indices = draw_center_indices(density, RngStream(5), 300)
+        per_hit = [
+            energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
+            for i in indices
+        ]
+        closed = post_hit_energies(psi, kernel, params, density, indices)
+        np.testing.assert_allclose(closed, per_hit, rtol=1e-12, atol=0.0)
+
+    def test_closed_form_raises_where_the_center_density_vanishes(self):
+        # like apply_hit, which raises where the hit annihilates the state
+        grid = self.LEDGER_GRID
+        psi = gaussian_packet(grid, 0.0, 0.5)
+        kernel = GaussianKernel(0.5)
+        density = kernel.center_density(mod_square_density(psi), grid)
+        empty = np.flatnonzero(density < NORM_FLOOR)
+        assert empty.size > 0
+        with pytest.raises(ZeroNormError):
+            post_hit_energies(psi, kernel, PhysicsParams.scaled(), density, empty[:1])
+
+    def test_draws_the_same_centers_as_sample_center(self, monkeypatch):
+        grid = self.LEDGER_GRID
+        psi = gaussian_packet(grid, -3.0, 2.0, wavenumber=3.0)
+        kernel = GaussianKernel(1.0)
+        drawn = []
+
+        def spy(psi, kernel, params, density, indices):
+            drawn.append(grid.points[indices])
+            return post_hit_energies(psi, kernel, params, density, indices)
+
+        monkeypatch.setattr(ontology, "post_hit_energies", spy)
+        rng = RngStream(61)
+        energy_gain_per_hit(psi, kernel, PhysicsParams.scaled(), rng, 50)
+        np.testing.assert_array_equal(
+            drawn[0], sample_center(psi, kernel, RngStream(61), size=50)
+        )
+        # the centers and the next draw of the per-hit implementation
+        # (sample_center, then one hit per center)
+        assert list(drawn[0][:5]) == [-4.90625, -7.0625, -2.125, -1.8125, -6.6875]
+        assert float(np.sum(drawn[0])) == -166.59375
+        assert rng.random() == 0.4822694018347802
+
+    @pytest.mark.parametrize(
+        "kernel, seed, n_trials, expected",
+        [
+            (CompactSupportKernel(1.0, 1.0), 74, 200, (5.030497156423403, 0.009049969957633958)),
+            (IdealKernel(), 72, 100, (172.4833650990929, 9.95165771656252e-14)),
+        ],
+        ids=["compact_support", "ideal"],
+    )
+    def test_per_hit_kernels_keep_their_values(self, kernel, seed, n_trials, expected):
+        # the values of the per-hit implementation, which these kernels keep
+        grid = Grid1D(-100.0, 100.0, 2048)
+        psi = gaussian_packet(grid, 0.0, 15.0)
+        result = energy_gain_per_hit(psi, kernel, PhysicsParams.scaled(), RngStream(seed), n_trials)
+        assert result == expected
 
 
 class TestTailReport:
