@@ -310,15 +310,15 @@ def post_hit_energies(
     if np.any(norms < NORM_FLOOR):
         z = float(grid.points[indices[np.argmin(norms)]])
         raise ZeroNormError(f"hit at z = {z!r} with {kernel.label} annihilated the state")
-    g2, gg, dg2 = (np.fft.fft(profile) for profile in profiles)
+    g2, gg, dg2 = profiles
     amps = psi.amplitudes
     d_amps = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(amps))
-    # circular convolution with profiles indexed by z - x, as in center_density
-    numerator = np.fft.ifft(
-        np.fft.fft(mod_square_density(psi)) * dg2
-        + np.fft.fft(np.abs(d_amps) ** 2) * g2
-        + 2.0 * np.fft.fft((np.conj(amps) * d_amps).real) * gg
-    ).real
+    # circular convolutions with profiles indexed by z - x, as in
+    # center_density, summed one term at a time to keep few arrays alive
+    spectrum = np.fft.fft(mod_square_density(psi)) * np.fft.fft(dg2)
+    spectrum += np.fft.fft(np.abs(d_amps) ** 2) * np.fft.fft(g2)
+    spectrum += np.fft.fft(2.0 * (np.conj(amps) * d_amps).real) * np.fft.fft(gg)
+    numerator = np.fft.ifft(spectrum).real
     return (params.hbar**2 / (2.0 * params.mass)) * numerator[indices] * grid.dx / norms
 
 
