@@ -22,6 +22,7 @@ unphysical reference (its energy cost diverges with grid resolution).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -51,12 +52,29 @@ class _SmoothKernel:
         return psi.amplitudes * self.amplitude_factor(grid.wrap(grid.points - center))
 
     def center_density(self, rho: np.ndarray, grid: Grid1D) -> np.ndarray:
-        """p(z) at the grid points: rho circularly convolved with center_profile."""
-        profile = self.center_profile(grid.wrap(grid.points - grid.x_min))
+        """p(z) at the grid points: rho circularly convolved with center_profile.
+
+        Two real FFTs: the profile's spectrum is cached per (kernel, grid)
+        by ``_profile_spectrum``, so a hit pays for the transforms of rho
+        alone.
+        """
         # circular convolution: p_j = sum_i K(x_j - x_i) rho_i dx
-        p = np.fft.ifft(np.fft.fft(rho) * np.fft.fft(profile)).real * grid.dx
+        spectrum = np.fft.rfft(rho) * _profile_spectrum(self, grid)
+        p = np.fft.irfft(spectrum, grid.n_points) * grid.dx
         np.clip(p, 0.0, None, out=p)
         return p
+
+
+@functools.lru_cache(maxsize=8)
+def _profile_spectrum(kernel: _SmoothKernel, grid: Grid1D) -> np.ndarray:
+    """Read-only rfft of the kernel's center_profile at the grid offsets from x_min.
+
+    Kernels and grids are frozen and compare by value, so equal pairs share
+    one entry; at most eight pairs are kept.
+    """
+    spectrum = np.fft.rfft(kernel.center_profile(grid.wrap(grid.points - grid.x_min)))
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 @dataclass(frozen=True)

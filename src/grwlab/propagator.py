@@ -10,13 +10,14 @@ wrapping.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryContamination, NonFiniteInputError
-from .state import Grid1D, PhysicsParams, WaveFunction1D, mod_square_density
+from .state import Grid1D, PhysicsParams, WaveFunction1D
 
 # Cells counted as "boundary" on each side, and the density alarm threshold.
 BOUNDARY_CELLS = 5
@@ -53,8 +54,10 @@ def harmonic_potential(
 
 def boundary_density(psi: WaveFunction1D) -> float:
     """Total probability within BOUNDARY_CELLS cells of either box edge."""
-    rho = mod_square_density(psi) * psi.grid.dx
-    return float(np.sum(rho[:BOUNDARY_CELLS]) + np.sum(rho[-BOUNDARY_CELLS:]))
+    amps, dx = psi.amplitudes, psi.grid.dx
+    low = np.abs(amps[:BOUNDARY_CELLS]) ** 2 * dx
+    high = np.abs(amps[-BOUNDARY_CELLS:]) ** 2 * dx
+    return float(np.sum(low) + np.sum(high))
 
 
 def _check_boundary(psi: WaveFunction1D) -> None:
@@ -97,6 +100,10 @@ def evolve(
     norm-preserving.  With potential None (or all zeros) the result agrees
     with ``evolve_free`` over the same total time.  Emits a
     BoundaryContamination warning when density reaches the box edges.
+
+    The kinetic energies hbar k^2 / 2m are cached per (grid, params) by
+    ``_kinetic_energies``; the phases depend on dt and are built once per
+    call, and the steps run in two preallocated buffers.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise NonFiniteInputError(f"dt must be positive and finite, got {dt!r}")
@@ -109,18 +116,41 @@ def evolve(
     if potential.grid != psi.grid:
         raise ValueError("potential and state must share one grid")
 
-    k = psi.grid.wavenumbers
-    kinetic_full = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
+    energies, mirror = _kinetic_energies(psi.grid, params)
+    # kinetic phase with the inverse transform's 1/n folded in
+    kinetic = (np.exp(-1j * energies * dt) / psi.grid.n_points)[mirror]
     potential_half = np.exp(-1j * potential.values * dt / (2.0 * params.hbar))
+    potential_full = potential_half * potential_half
 
-    # Strang: V/2, then (K, V)^(n-1), K, V/2 -- interior half-steps fused.
+    # Strang: V/2, then (K, V)^(n-1), K, V/2 -- interior half-steps fused;
+    # every step runs in the two buffers amps and spectrum.
     amps = psi.amplitudes * potential_half
-    for _ in range(n_steps - 1):
-        amps = np.fft.ifft(kinetic_full * np.fft.fft(amps))
-        amps *= potential_half * potential_half
-    amps = np.fft.ifft(kinetic_full * np.fft.fft(amps))
-    amps = amps * potential_half
+    spectrum = np.empty_like(amps)
+    for step in range(n_steps):
+        np.fft.fft(amps, out=spectrum)
+        spectrum *= kinetic
+        np.fft.ifft(spectrum, norm="forward", out=amps)
+        amps *= potential_full if step < n_steps - 1 else potential_half
 
     out = WaveFunction1D(psi.grid, amps)
     _check_boundary(out)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _kinetic_energies(grid: Grid1D, params: PhysicsParams) -> tuple[np.ndarray, np.ndarray]:
+    """hbar k^2 / 2m on the n//2 + 1 distinct |k|, and the index mapping them to all k.
+
+    k^2 from fftfreq is exactly symmetric (k_j = -k_{n-j}), so entry j of
+    the full array is entry min(j, n - j) of the half.  Both arrays are
+    read-only; they depend on (grid, params) and not on dt, which differs
+    from one run_grw interval to the next.  At most eight pairs are kept.
+    """
+    n = grid.n_points
+    k = grid.wavenumbers[: n // 2 + 1]
+    energies = params.hbar * k**2 / (2.0 * params.mass)
+    j = np.arange(n)
+    mirror = np.minimum(j, n - j)
+    energies.setflags(write=False)
+    mirror.setflags(write=False)
+    return energies, mirror

@@ -836,22 +836,40 @@ def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
             "params.x/y: |y - x| must be less than half the grid length "
             f"({0.5 * (hi - lo)}), got {abs(y - x)}"
         )
-    # The hit leaves the tail lobe a Gaussian of peak density
-    # exp(-(y - x)^2 / (2 (sigma^2 + s^2))) / sqrt(2 pi s^2).  The structure
-    # score squares the lobe: below a normal float the lobe's l2 norm is 0
-    # and its argmax meaningless.
-    s = params["s"]
-    suppression = (y - x) ** 2 / (2.0 * (physics["sigma"] ** 2 + s**2))
+    _tail_lobe_survives("params.x/y", y - x, physics["sigma"], params["s"])
+
+
+def _tail_lobe_survives(name: str, distance: float, sigma: float, s: float) -> None:
+    """A Gaussian hit of width sigma at ``distance`` from a packet of width s
+    leaves that packet a lobe of peak density
+    exp(-distance^2 / (2 (sigma^2 + s^2))) / sqrt(2 pi s^2).  The structure
+    score squares the lobe: below a normal float the lobe's l2 norm is 0 and
+    its argmax meaningless."""
+    suppression = distance**2 / (2.0 * (sigma**2 + s**2))
     limit = -0.5 * math.log(sys.float_info.min) - 0.5 * math.log(2.0 * math.pi * s**2)
     if suppression > limit:
         raise ConfigError(
-            "params.x/y: the hit suppresses the tail peak by exp(-(y - x)^2 / "
+            f"{name}: the hit suppresses the tail peak by exp(-distance^2 / "
             f"(2 (sigma^2 + s^2))) = exp(-{suppression:.6g}); its square must be a "
             f"normal float, so the exponent may be at most {limit:.6g}"
         )
 
 
-def _window_inside_separation(params: dict, physics: dict, grid: dict) -> None:
+def _resolves_widths(grid: dict, widths: dict[str, float]) -> None:
+    """grid.dx at most half the smallest width in play: at least two cells per
+    standard deviation of the narrowest density."""
+    name, width = min(widths.items(), key=lambda item: item[1])
+    length = grid["x_max"] - grid["x_min"]
+    dx = length / grid["n_points"]
+    if dx > 0.5 * width:
+        raise ConfigError(
+            f"grid.n_points: the spacing dx = {dx:.6g} must be at most half the smallest "
+            f"width in play ({name} = {width}); need n_points >= "
+            f"{math.ceil(2.0 * length / width)}, got {grid['n_points']}"
+        )
+
+
+def _dilemma_fits_grid(params: dict, physics: dict, grid: dict) -> None:
     half = params["separation"] / 2.0
     if physics["window"] >= half:
         raise ConfigError(
@@ -867,6 +885,18 @@ def _window_inside_separation(params: dict, physics: dict, grid: dict) -> None:
             "params.separation: the packet there must lie 5 packet widths inside the "
             f"grid, in [{lo}, {hi}), got {params['separation']}"
         )
+    # the Gaussian column's far lobe, as for wallace_displacement
+    _tail_lobe_survives(
+        "params.separation", params["separation"], physics["sigma"], params["packet_width"]
+    )
+    _resolves_widths(
+        grid, {"physics.sigma": physics["sigma"], "params.packet_width": params["packet_width"]}
+    )
+
+
+def _regrowth_resolves(params: dict, physics: dict, grid: dict) -> None:
+    # the packet's width is physics.sigma
+    _resolves_widths(grid, {"physics.sigma": physics["sigma"]})
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
@@ -931,6 +961,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "window": Field(parse_number, lambda ph: ph["window"], POSITIVE),
             "dt_list": Field(_parse_dt_list, [0.0, 1e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]),
         },
+        check=_regrowth_resolves,
         grid=(64.0, 4096),
         run=lambda p, ph, grid, seed: hegerfeldt_regrowth(
             p["window"], p["dt_list"], _physics_params(ph), grid
@@ -945,7 +976,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             # None: 0.1 m sigma^2 / hbar, set by kernel_dilemma
             "regrow_dt": Field(parse_number, None, POSITIVE),
         },
-        check=_window_inside_separation,
+        check=_dilemma_fits_grid,
         run=lambda p, ph, grid, seed: kernel_dilemma(
             GaussianKernel(ph["sigma"]), CompactSupportKernel(ph["sigma"], ph["window"]),
             _physics_params(ph), grid, p["separation"], p["packet_width"], p["regrow_dt"], seed,

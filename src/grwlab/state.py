@@ -63,9 +63,16 @@ class Grid1D:
         return k
 
     def wrap(self, offsets: np.ndarray | float) -> np.ndarray | float:
-        """Minimal-image displacement on the periodic box."""
+        """Minimal-image displacement on the periodic box.
+
+        Exactly ``(offsets + L/2) % L - L/2``, bit for bit, for every finite
+        offset: numpy's float ``%`` is ``fmod`` plus L where that is negative
+        (and +0 where it is zero, a sign the final ``- L/2`` hides), which
+        this spells out at about half the cost.
+        """
         L = self.length
-        return (np.asarray(offsets) + 0.5 * L) % L - 0.5 * L
+        r = np.fmod(np.asarray(offsets) + 0.5 * L, L)
+        return np.where(r < 0, r + L, r) - 0.5 * L
 
     def nearest_index(self, x: float) -> int:
         """Index of the grid cell whose center is closest to x (periodic)."""

@@ -144,6 +144,18 @@ class TestRun:
             ),
             # the second packet lies outside the default (-16, 16) box
             ("kernel_dilemma", {"params": {"separation": 40}}, "params.separation"),
+            # the Gaussian hit's far lobe underflows to exactly 0
+            (
+                "kernel_dilemma",
+                {
+                    "grid": {"x_min": -100, "x_max": 100, "n_points": 8192},
+                    "params": {"separation": 60},
+                },
+                "params.separation",
+            ),
+            # grids too coarse to hold the packet
+            ("kernel_dilemma", {"grid": {"n_points": 2}}, "grid.n_points"),
+            ("hegerfeldt_regrowth", {"grid": {"n_points": 4}}, "grid.n_points"),
         ],
     )
     def test_cross_field_violation_exits_one_naming_field(
