@@ -40,9 +40,9 @@ def random_state(grid, seed):
     return WaveFunction1D.from_samples(grid, samples)
 
 
-def parent_strang(psi, potential, params, dt, n_steps):
-    """The Strang loop as first written: phases rebuilt from k^2 per call,
-    complex FFTs, scaled inverse transform."""
+def reference_strang(psi, potential, params, dt, n_steps):
+    """The Strang loop written out directly: phases from k^2 at every call,
+    complex FFTs and numpy's scaled inverse transform."""
     k = psi.grid.wavenumbers
     kinetic = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
     half = np.exp(-1j * potential.values * dt / (2.0 * params.hbar))
@@ -116,7 +116,7 @@ class TestEvolveProperties:
     )
     @example(half=32, omega=1.0, center=0.0, width=0.5, wavenumber=0.0, dt=0.2, n_steps=50)
     @FFT_SETTINGS
-    def test_matches_parent_strang_loop_in_a_harmonic_trap(
+    def test_matches_reference_strang_loop_in_a_harmonic_trap(
         self, parity, half, omega, center, width, wavenumber, dt, n_steps
     ):
         # the mirrored half-spectrum of k^2 must reproduce every k exactly,
@@ -126,7 +126,7 @@ class TestEvolveProperties:
         psi = gaussian_packet(grid, center, width, wavenumber)
         potential = harmonic_potential(grid, params, omega)
         out = quiet_evolve(psi, potential, params, dt, n_steps)
-        reference = parent_strang(psi, potential, params, dt, n_steps)
+        reference = reference_strang(psi, potential, params, dt, n_steps)
         assert np.max(np.abs(out.amplitudes - reference)) <= 1e-12
 
     @given(n=st.integers(2, 400))
@@ -185,9 +185,13 @@ class TestProfileSpectrumCache:
         assert _profile_spectrum.cache_info().maxsize == 8
 
     @given(
-        bounds=st.lists(st.sampled_from([(-8.0, 8.0), (-8.0, 9.0), (0.0, 16.0)]), min_size=2, max_size=2),
+        bounds=st.lists(
+            st.sampled_from([(-8.0, 8.0), (-8.0, 9.0), (0.0, 16.0)]), min_size=2, max_size=2
+        ),
         sizes=st.lists(st.sampled_from([31, 32, 64]), min_size=2, max_size=2),
-        kernels=st.lists(st.sampled_from(KERNELS[:2] + [GaussianKernel(0.5)]), min_size=2, max_size=2),
+        kernels=st.lists(
+            st.sampled_from(KERNELS[:2] + [GaussianKernel(0.5)]), min_size=2, max_size=2
+        ),
     )
     def test_distinct_grids_or_kernels_never_share_an_entry(self, bounds, sizes, kernels):
         pairs = [(k, Grid1D(*b, n)) for k, b, n in zip(kernels, bounds, sizes)]
