@@ -6,14 +6,19 @@ Each ``golden/<scenario>.result.json`` is the ``result`` block of
 config (key ``configs/<scenario>.yaml``) and for a bare
 ``{"scenario": <scenario>}`` in each unit mode (key ``<scenario>/<units>``),
 so every default and the config block of every output stay fixed.
+``golden/outputs.sha256.json`` pins the sha256 of every file each shipped
+config writes (key: scenario, then file name), resolved with ``out_dir``
+set to ``OUT_DIR`` so that the config line embedded in each file does not
+depend on where the test writes.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from grwlab.cli import load_config, resolve_config, run
+from grwlab.cli import dispatch, load_config, resolve_config, run, write_outputs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -26,6 +31,16 @@ SCENARIOS = [
     "wallace_displacement",
 ]
 RESOLVED = json.loads((GOLDEN / "resolved_configs.json").read_text())
+OUTPUT_HASHES = json.loads((GOLDEN / "outputs.sha256.json").read_text())
+OUT_DIR = "grwlab_out"
+
+
+def output_hashes(scenario: str, out_dir) -> dict[str, str]:
+    """sha256 of each file written for the shipped config, by file name."""
+    raw = load_config(ROOT / "configs" / f"{scenario}.yaml")
+    config = resolve_config(raw, out_override=OUT_DIR)
+    paths = write_outputs(dispatch(config), config, out_dir)
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -47,3 +62,8 @@ def test_shipped_config_resolves_to_golden(scenario):
 def test_defaults_resolve_to_golden(scenario, units):
     config = resolve_config({"scenario": scenario, "units": units})
     assert config == RESOLVED[f"{scenario}/{units}"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_output_bytes_match_golden(scenario, tmp_path):
+    assert output_hashes(scenario, tmp_path) == OUTPUT_HASHES[scenario]
