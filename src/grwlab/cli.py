@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -136,10 +137,14 @@ def dispatch(config: dict) -> ScenarioResult:
     )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _format_column(values: np.ndarray, end: str = "") -> list[str]:
+    """Each cell's text plus ``end``: ``str`` of its Python scalar (``repr``
+    for a float), made once per distinct value.  Floats are told apart by
+    bit pattern, so -0.0 and 0.0 keep their own texts."""
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array([str(value) + end for value in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def write_outputs(result: ScenarioResult, config: dict, out_dir: Path) -> list[Path]:
@@ -161,9 +166,12 @@ def write_outputs(result: ScenarioResult, config: dict, out_dir: Path) -> list[P
     for name, series in result.series.items():
         series_path = out_dir / f"series.{name}.csv"
         header = ",".join(f"{col} [{unit_map.get(dim, dim)}]" for col, dim in series.columns)
-        lines = [f"# grwlab {__version__}", f"# config: {config_line}", header]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in series.rows)
-        series_path.write_text("\n".join(lines) + "\n")
+        # column by column; the rows are streamed, never held as one text
+        *inner, last = series.data
+        cells = [_format_column(column) for column in inner] + [_format_column(last, "\n")]
+        with series_path.open("w") as out:
+            out.write(f"# grwlab {__version__}\n# config: {config_line}\n{header}\n")
+            out.writelines(map(",".join, zip(*cells)))
         paths.append(series_path)
     return paths
 

@@ -61,10 +61,15 @@ from .state import (
 
 @dataclass
 class Series:
-    """A plot-ready table: column (name, dimension) pairs plus rows."""
+    """A plot-ready table: column (name, dimension) pairs plus one 1-D array
+    per column, all of one length.  A column's dtype sets its CSV text."""
 
     columns: list[tuple[str, str]]
-    rows: list[list]
+    data: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if len(self.data) != len(self.columns) or len({len(c) for c in self.data}) > 1:
+            raise ValueError(f"Series: expected {len(self.columns)} columns of one length")
 
 
 @dataclass
@@ -159,7 +164,6 @@ def measurement_chain(
         ]
     )
     tails = tail_by_branch[selected]
-    labels = state.labels
 
     frequency_0 = int(np.count_nonzero(selected == 0)) / n_trials
     half_width = 3.0 * math.sqrt(p0 * (1.0 - p0) / n_trials)
@@ -196,12 +200,7 @@ def measurement_chain(
                 ("selected_branch", "label"),
                 ("tail_weight", "fraction"),
             ],
-            rows=[
-                [trial, t, labels[k], tail]
-                for trial, (t, k, tail) in enumerate(
-                    zip(times.tolist(), selected.tolist(), tails.tolist())
-                )
-            ],
+            data=(np.arange(n_trials), times, np.asarray(state.labels)[selected], tails),
         )
     }
     return ScenarioResult(
@@ -303,12 +302,7 @@ def marble_in_box(
                 ("inside_branch", "mass_per_length"),
                 ("outside_branch", "mass_per_length"),
             ],
-            rows=[
-                [float(x), float(d), float(di), float(do)]
-                for x, d, di, do in zip(
-                    grid.points, density.values, profile_in, profile_out
-                )
-            ],
+            data=(grid.points, density.values, profile_in, profile_out),
         )
     }
     return ScenarioResult(
@@ -376,7 +370,7 @@ def billiard_collision(a: complex, b: complex) -> ScenarioResult:
     series = {
         "sectors": Series(
             columns=[("sector", "label"), ("weight", "fraction"), ("class", "label")],
-            rows=[[lbl, w, classification[lbl]] for lbl, w in zip(labels, weights)],
+            data=tuple(map(np.asarray, (labels, weights, list(classification.values())))),
         )
     }
     return ScenarioResult(
@@ -456,10 +450,7 @@ def wallace_displacement(
                 ("density", "per_length"),
                 ("tail_component", "per_length"),
             ],
-            rows=[
-                [float(xx), float(d), float(t)]
-                for xx, d, t in zip(grid.points, rho, tail_component)
-            ],
+            data=(grid.points, rho, tail_component),
         )
     }
     return ScenarioResult(
@@ -530,7 +521,7 @@ def hegerfeldt_regrowth(
     series = {
         "tail_mass": Series(
             columns=[("dt", "time"), ("tail_mass", "fraction")],
-            rows=rows,
+            data=tuple(map(np.array, zip(*rows))),
         )
     }
     return ScenarioResult(
@@ -666,15 +657,12 @@ def kernel_dilemma(
                 ("compact_post_density", "per_length"),
                 ("compact_regrown_density", "per_length"),
             ],
-            rows=[
-                [float(x), float(dg), float(dc), float(dr)]
-                for x, dg, dc, dr in zip(
-                    grid.points,
-                    gauss["density"],
-                    compact["density_post"],
-                    compact["density_regrown"],
-                )
-            ],
+            data=(
+                grid.points,
+                gauss["density"],
+                compact["density_post"],
+                compact["density_regrown"],
+            ),
         )
     }
     return ScenarioResult(

@@ -220,10 +220,10 @@ class TestCriterion7HegerfeldtRegrowth:
             PhysicsParams.scaled(),
             grid,
         )
-        table = result.series["tail_mass"].rows
-        at_zero = table[0][1]
-        at_smallest = table[1][1]
-        masses = [row[1] for row in table[1:6]]
+        tail = result.series["tail_mass"].data[1]
+        at_zero = tail[0]
+        at_smallest = tail[1]
+        masses = tail[1:6].tolist()
         monotone = all(m1 < m2 for m1, m2 in zip(masses, masses[1:]))
         ok = at_zero == 0.0 and at_smallest > 1e-10 and monotone
         assert report(

@@ -2,13 +2,19 @@
 
 import json
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from grwlab.cli import _format_cell, list_scenarios, main, resolve_config, run
+from grwlab.cli import _format_column, list_scenarios, main, resolve_config, run, write_outputs
 from grwlab.errors import ConfigError
+from grwlab.scenarios import ScenarioResult, Series
 
 
 def write_config(path, payload):
@@ -204,9 +210,62 @@ class TestRun:
 
 
 def test_numpy_float_cells_written_as_plain_floats():
-    assert _format_cell(np.float64(0.1)) == "0.1"
-    assert _format_cell(0.1) == "0.1"
-    assert _format_cell(3) == "3"
+    assert _format_column(np.array([np.float64(0.1)])) == ["0.1"]
+    assert _format_column(np.array([0.1])) == ["0.1"]
+    assert _format_column(np.array([3])) == ["3"]
+
+
+def per_cell_lines(data) -> list[str]:
+    """The per-cell writer that column-wise formatting replaced: ``repr`` of
+    every float cell, ``str`` of any other."""
+    return [
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        for row in zip(*data)
+    ]
+
+
+NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+# -0.0 beside 0.0, NaNs of either sign and another payload, infinities,
+# subnormals
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, NAN_WITH_PAYLOAD, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1
+]
+CELLS = {
+    "float": (st.floats() | st.sampled_from(SPECIAL_FLOATS), np.float64),
+    "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "label": (st.text("01_ab", min_size=1, max_size=4), str),
+}
+
+
+@st.composite
+def tables(draw):
+    """Float, int and label columns of one length, each repeating a few values."""
+    n_rows = draw(st.integers(0, 20))
+    data = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4)):
+        values, dtype = CELLS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=5))
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        data.append(np.array(cells, dtype=dtype))
+    return tuple(data)
+
+
+@settings(deadline=None)
+@given(table=tables())
+@example(table=(np.array([0.0, -0.0, 0.0, -0.0]), np.array([3, 3, -1, 3])))
+def test_series_csv_matches_per_cell_writer(table):
+    columns = [(f"c{i}", "fraction") for i in range(len(table))]
+    result = ScenarioResult(name="table", params={}, series={"t": Series(columns, table)})
+    with tempfile.TemporaryDirectory() as out:
+        series_path = write_outputs(result, {"units": "scaled"}, Path(out))[1]
+        lines = series_path.read_text().split("\n")
+    assert lines[2] == ",".join(f"c{i} [1]" for i in range(len(table)))
+    assert lines[3:] == per_cell_lines(table) + [""]
+
+
+def test_series_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="columns of one length"):
+        Series([("a", "count"), ("b", "count")], (np.arange(3), np.arange(4)))
 
 
 class TestResolveConfig:

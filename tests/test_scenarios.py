@@ -104,10 +104,10 @@ class TestMeasurementChain:
             n_trials=400,
             seed=5,
         )
-        rows = result.series["trials"].rows
-        frequency = sum(1 for _, _, branch, _ in rows if branch == "0") / len(rows)
+        _, times, branches, _ = result.series["trials"].data
+        frequency = sum(1 for branch in branches if branch == "0") / len(branches)
         assert frequency == result.summary["selection_frequency_0"]
-        mean_time = float(np.mean([time for _, time, _, _ in rows]))
+        mean_time = float(np.mean(times))
         assert mean_time == result.summary["mean_first_hit_time"]
 
     def test_deterministic_per_seed(self, params):
@@ -124,7 +124,8 @@ class TestMeasurementChain:
             )
 
         assert run().summary == run().summary
-        assert run().series["trials"].rows == run().series["trials"].rows
+        first, second = run().series["trials"].data, run().series["trials"].data
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_summary_independent_of_trial_order(self, params, monkeypatch):
         def run():
@@ -148,7 +149,7 @@ class TestMeasurementChain:
         permuted = run()
 
         def draws_of(result):
-            return [row[1:] for row in result.series["trials"].rows]
+            return list(zip(*(column.tolist() for column in result.series["trials"].data[1:])))
 
         assert draws_of(permuted) != draws_of(baseline)
         assert sorted(draws_of(permuted)) == sorted(draws_of(baseline))
@@ -312,10 +313,10 @@ class TestHegerfeldtRegrowth:
         result = hegerfeldt_regrowth(
             1.0, [0.0, 1e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2], params, grid
         )
-        table = result.series["tail_mass"].rows
-        assert table[0][1] == 0.0
-        assert table[1][1] > 1e-10
-        masses = [row[1] for row in table[1:6]]
+        tail = result.series["tail_mass"].data[1]
+        assert tail[0] == 0.0
+        assert tail[1] > 1e-10
+        masses = tail[1:6].tolist()
         assert all(m1 < m2 for m1, m2 in zip(masses, masses[1:]))
         assert all(result.verdicts.values()), result.verdicts
 
