@@ -149,20 +149,20 @@ def _format_column(values: np.ndarray, end: str = "") -> list[str]:
 
 def write_outputs(result: ScenarioResult, config: dict, out_dir: Path) -> list[Path]:
     """Write summary JSON and series CSVs; returns the paths written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    unit_map = _UNITS[config["units"]] | _DIMENSIONLESS
-    config_line = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    paths = []
-
-    summary_path = out_dir / f"summary.{result.name}.json"
     payload = {
         "artifact": {"name": "grwlab", "version": __version__},
         "config": config,
         "result": result.to_dict(),
     }
-    summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    paths.append(summary_path)
+    # strict JSON: a non-finite summary value raises before anything is written
+    summary = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary_path = out_dir / f"summary.{result.name}.json"
+    summary_path.write_text(summary)
+    paths = [summary_path]
 
+    unit_map = _UNITS[config["units"]] | _DIMENSIONLESS
+    config_line = json.dumps(config, sort_keys=True, separators=(",", ":"))
     for name, series in result.series.items():
         series_path = out_dir / f"series.{name}.csv"
         header = ",".join(f"{col} [{unit_map.get(dim, dim)}]" for col, dim in series.columns)

@@ -55,6 +55,9 @@ def harmonic_potential(
 def boundary_density(psi: WaveFunction1D) -> float:
     """Total probability within BOUNDARY_CELLS cells of either box edge."""
     amps, dx = psi.amplitudes, psi.grid.dx
+    if amps.size < 2 * BOUNDARY_CELLS:
+        # the two edge slices overlap, and their union is every cell
+        return psi.norm_squared
     low = np.abs(amps[:BOUNDARY_CELLS]) ** 2 * dx
     high = np.abs(amps[-BOUNDARY_CELLS:]) ** 2 * dx
     return float(np.sum(low) + np.sum(high))

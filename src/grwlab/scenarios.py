@@ -359,7 +359,8 @@ def billiard_collision(a: complex, b: complex) -> ScenarioResult:
         "sector_weights": dict(zip(labels, weights)),
         "weights_sum": float(sum(weights)),
         "classification": classification,
-        "dominance_ratio": dominance_ratio,
+        # JSON has no infinity: when q is 0 (or p / q overflows) the ratio is null
+        "dominance_ratio": dominance_ratio if math.isfinite(dominance_ratio) else None,
         "dominance_assumed_ok": dominance_met,
         "dominance_threshold_ratio": 4.0,
     }
@@ -807,6 +808,19 @@ def _amplitudes_close(params: dict, physics: dict, grid: dict) -> None:
         raise ConfigError(f"params.a/b: |a|^2 + |b|^2 = {closure!r}, must equal 1")
 
 
+def _chain_fits_floats(params: dict, physics: dict, grid: dict) -> None:
+    _amplitudes_close(params, physics, grid)
+    # A trial waits at most 53 ln 2 / rate (its uniform has 53 bits); the
+    # summed waits of all trials, and so their mean, must stay finite.
+    rate = hit_rate(params["n_pointer"], _physics_params(physics))
+    longest_total = params["n_trials"] * 53.0 * math.log(2.0) / rate
+    if not (sys.float_info.min <= rate < math.inf and math.isfinite(longest_total)):
+        raise ConfigError(
+            f"physics.lam: the device rate params.n_pointer * physics.lam = {rate!r} must "
+            "be a finite normal float with params.n_trials * 53 ln 2 / rate finite"
+        )
+
+
 def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
     # The hit at x is periodic and the analytic tail peak is not: both
     # centres must lie in the box, closer together than half its length.
@@ -825,6 +839,7 @@ def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
             f"({0.5 * (hi - lo)}), got {abs(y - x)}"
         )
     _tail_lobe_survives("params.x/y", y - x, physics["sigma"], params["s"])
+    _resolves_widths(grid, {"physics.sigma": physics["sigma"], "params.s": params["s"]})
 
 
 def _tail_lobe_survives(name: str, distance: float, sigma: float, s: float) -> None:
@@ -898,7 +913,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
             "n_trials": Field(parse_integer, 10000, _AT_LEAST_ONE),
         },
-        check=_amplitudes_close,
+        check=_chain_fits_floats,
         run=lambda p, ph, grid, seed: measurement_chain(
             complex(*p["a"]), complex(*p["b"]), p["n_pointer"], p["separation"],
             _kernel(ph), _physics_params(ph), p["n_trials"], seed,

@@ -162,6 +162,11 @@ class TestRun:
             # grids too coarse to hold the packet
             ("kernel_dilemma", {"grid": {"n_points": 2}}, "grid.n_points"),
             ("hegerfeldt_regrowth", {"grid": {"n_points": 4}}, "grid.n_points"),
+            # the device rate is subnormal: every mean and 1 / rate overflow
+            ("measurement_chain", {"physics": {"lam": 1.0e-320}}, "physics.lam"),
+            # dx = 8 physics.sigma, and dx = 16 params.s
+            ("wallace_displacement", {"grid": {"n_points": 8}}, "grid.n_points"),
+            ("wallace_displacement", {"params": {"s": 0.001}}, "grid.n_points"),
         ],
     )
     def test_cross_field_violation_exits_one_naming_field(
@@ -174,6 +179,22 @@ class TestRun:
         assert run(config) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_summary_is_strict_json_when_a_weight_vanishes(self, tmp_path):
+        # q = |b|^2 = 0 leaves no finite dominance ratio; JSON has no Infinity
+        config = write_config(
+            tmp_path / "billiard.yaml",
+            {
+                "scenario": "billiard_collision",
+                "out_dir": str(tmp_path / "out"),
+                "params": {"a": 1.0, "b": 0.0},
+            },
+        )
+        assert run(config) == 0
+        text = (tmp_path / "out" / "summary.billiard_collision.json").read_text()
+        summary = json.loads(text, parse_constant=pytest.fail)["result"]["summary"]
+        assert summary["dominance_ratio"] is None
+        assert summary["dominance_assumed_ok"] is True
 
     def test_series_header_names_units_and_coordinate(self, tmp_path):
         config = write_config(

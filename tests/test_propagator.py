@@ -15,6 +15,7 @@ from grwlab import (
     uniform_state,
 )
 from grwlab.errors import BoundaryContamination, NonFiniteInputError
+from grwlab.propagator import BOUNDARY_CELLS, boundary_density
 
 
 def quad_variance(grid, density):
@@ -134,3 +135,17 @@ class TestEvolve:
         values[3] = np.inf
         with pytest.raises(NonFiniteInputError):
             Potential1D(grid, values)
+
+
+class TestBoundaryDensity:
+    def test_overlapping_edges_count_each_cell_once(self):
+        # on 4 points the two 5-cell edge slices overlap and cover the box
+        psi = uniform_state(Grid1D(-1.0, 1.0, 4))
+        assert boundary_density(psi) == psi.norm_squared
+
+    @pytest.mark.parametrize("n_points", [2 * BOUNDARY_CELLS, 1024])
+    def test_disjoint_edges_sum_low_then_high(self, n_points):
+        psi = gaussian_packet(Grid1D(-3.0, 3.0, n_points), 0.5, 1.0)
+        density = np.abs(psi.amplitudes) ** 2 * psi.grid.dx
+        expected = float(np.sum(density[:BOUNDARY_CELLS]) + np.sum(density[-BOUNDARY_CELLS:]))
+        assert boundary_density(psi) == expected
