@@ -811,10 +811,11 @@ def _amplitudes_close(params: dict, physics: dict, grid: dict) -> None:
 def _chain_fits_floats(params: dict, physics: dict, grid: dict) -> None:
     _amplitudes_close(params, physics, grid)
     # A trial waits at most 53 ln 2 / rate (its uniform has 53 bits); the
-    # summed waits of all trials, and so their mean, must stay finite.
+    # summed waits of all trials, and so their mean, must stay finite.  In
+    # logs, since n_trials may be an int too large for a float.
     rate = hit_rate(params["n_pointer"], _physics_params(physics))
-    longest_total = params["n_trials"] * 53.0 * math.log(2.0) / rate
-    if not (sys.float_info.min <= rate < math.inf and math.isfinite(longest_total)):
+    log_total = math.log(53 * params["n_trials"]) + math.log(math.log(2.0)) - math.log(rate)
+    if not (sys.float_info.min <= rate < math.inf and log_total < math.log(sys.float_info.max)):
         raise ConfigError(
             f"physics.lam: the device rate params.n_pointer * physics.lam = {rate!r} must "
             "be a finite normal float with params.n_trials * 53 ln 2 / rate finite"
