@@ -66,6 +66,8 @@ _UNITS = {
     "scaled": dict(length="L", time="T", mass="M", mass_per_length="M/L", per_length="1/L"),
 }
 _DIMENSIONLESS = {"fraction": "1", "count": "1", "label": "-"}
+# rows per block of a series CSV; its cell texts are all the writer holds
+_BLOCK_ROWS = 1024
 
 
 def load_config(path: str | Path) -> dict:
@@ -166,12 +168,17 @@ def write_outputs(result: ScenarioResult, config: dict, out_dir: Path) -> list[P
     for name, series in result.series.items():
         series_path = out_dir / f"series.{name}.csv"
         header = ",".join(f"{col} [{unit_map.get(dim, dim)}]" for col, dim in series.columns)
-        # column by column; the rows are streamed, never held as one text
-        *inner, last = series.data
-        cells = [_format_column(column) for column in inner] + [_format_column(last, "\n")]
         with series_path.open("w") as out:
             out.write(f"# grwlab {__version__}\n# config: {config_line}\n{header}\n")
-            out.writelines(map(",".join, zip(*cells)))
+            # column by column within a block of rows: only one block's text
+            # is held at a time, whatever the row count
+            ends = [","] * (len(series.data) - 1) + ["\n"]
+            for start in range(0, len(series.data[0]), _BLOCK_ROWS):
+                block = [column[start : start + _BLOCK_ROWS] for column in series.data]
+                cells = [""] * (len(block) * len(block[0]))
+                for j, (column, end) in enumerate(zip(block, ends)):
+                    cells[j :: len(block)] = _format_column(column, end)
+                out.write("".join(cells))
         paths.append(series_path)
     return paths
 

@@ -219,7 +219,11 @@ class RngStream:
         depends only on (seed, trial) and not on n_trials.
         """
         bits = np.random.Philox(np.random.SeedSequence(int(seed))).random_raw(4 * n_trials)
-        return (bits.reshape(n_trials, 4) >> np.uint64(11)) * 2.0**-53
+        # in place: the raw bits and the doubles are the only full-size arrays
+        bits >>= np.uint64(11)
+        uniforms = bits.astype(np.float64)
+        uniforms *= 2.0**-53
+        return uniforms.reshape(n_trials, 4)
 
     def random(self) -> float:
         return float(self._gen.random())

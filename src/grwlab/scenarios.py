@@ -150,11 +150,12 @@ def measurement_chain(
     # Every pointer particle of a branch sits at one position, so the hit
     # particle does not change the outcome and its draw goes unused.
     u = RngStream.trial_uniforms(seed, n_trials)
-    times = -np.log1p(-u[:, 0]) / rate
+    times = np.log1p(-u[:, 0])
+    times /= -rate
     cdf = np.cumsum(state.probabilities)
-    selected = np.minimum(
-        np.searchsorted(cdf, u[:, 2] * cdf[-1], side="right"), state.n_branches - 1
-    )
+    selected = np.searchsorted(cdf, u[:, 2] * cdf[-1], side="right")
+    del u  # the largest array: four doubles a trial, and nothing below reads it
+    np.minimum(selected, state.n_branches - 1, out=selected)
     # The post-hit tail weight depends only on the selected branch.
     positions = np.array([b.positions[0] for b in state.branches])
     tail_by_branch = np.array(
@@ -733,7 +734,9 @@ def _parse_dt_list(name: str, value) -> list[float]:
 
 
 POSITIVE = (lambda v: v > 0, "must be positive")
-_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
+# measurement_chain's sizes: its arrays grow with both, and a run at both
+# caps peaks near 100 MiB
+_ENSEMBLE_SIZE = (lambda n: 1 <= n <= 10**6, "must be in [1, 10^6]")
 
 
 @dataclass(frozen=True)
@@ -811,11 +814,12 @@ def _amplitudes_close(params: dict, physics: dict, grid: dict) -> None:
 def _chain_fits_floats(params: dict, physics: dict, grid: dict) -> None:
     _amplitudes_close(params, physics, grid)
     # A trial waits at most 53 ln 2 / rate (its uniform has 53 bits); the
-    # summed waits of all trials, and so their mean, must stay finite.  In
-    # logs, since n_trials may be an int too large for a float.
+    # summed waits of all trials, and so their mean, must stay finite.
     rate = hit_rate(params["n_pointer"], _physics_params(physics))
-    log_total = math.log(53 * params["n_trials"]) + math.log(math.log(2.0)) - math.log(rate)
-    if not (sys.float_info.min <= rate < math.inf and log_total < math.log(sys.float_info.max)):
+    if not (
+        sys.float_info.min <= rate < math.inf
+        and params["n_trials"] * 53 * math.log(2.0) / rate < math.inf
+    ):
         raise ConfigError(
             f"physics.lam: the device rate params.n_pointer * physics.lam = {rate!r} must "
             "be a finite normal float with params.n_trials * 53 ln 2 / rate finite"
@@ -910,9 +914,9 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         fields={
             "a": Field(_parse_amplitude, math.sqrt(0.7)),
             "b": Field(_parse_amplitude, math.sqrt(0.3)),
-            "n_pointer": Field(parse_integer, 1000, _AT_LEAST_ONE),
+            "n_pointer": Field(parse_integer, 1000, _ENSEMBLE_SIZE),
             "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
-            "n_trials": Field(parse_integer, 10000, _AT_LEAST_ONE),
+            "n_trials": Field(parse_integer, 10000, _ENSEMBLE_SIZE),
         },
         check=_chain_fits_floats,
         run=lambda p, ph, grid, seed: measurement_chain(

@@ -2,8 +2,10 @@
 
 import json
 import math
+import shutil
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grwlab import cli
 from grwlab.cli import _format_column, list_scenarios, main, resolve_config, run, write_outputs
 from grwlab.errors import ConfigError
 from grwlab.scenarios import ScenarioResult, Series
@@ -271,17 +274,54 @@ def tables(draw):
     return tuple(data)
 
 
+def write_table(table) -> Path:
+    columns = [(f"c{i}", "fraction") for i in range(len(table))]
+    result = ScenarioResult(name="table", params={}, series={"t": Series(columns, table)})
+    out = tempfile.mkdtemp()
+    return write_outputs(result, {"units": "scaled"}, Path(out))[1]
+
+
 @settings(deadline=None)
 @given(table=tables())
 @example(table=(np.array([0.0, -0.0, 0.0, -0.0]), np.array([3, 3, -1, 3])))
+# blocks of 3 rows: no rows, an exact multiple, a multiple + 1, and 0.0 and
+# -0.0 only ever in different blocks
+@example(table=(np.array([], dtype=np.float64), np.array([], dtype=str)))
+@example(table=(np.array([1, 2, 3, 1, 2, 3]), np.array(["a", "b", "a", "b", "a", "b"])))
+@example(table=(np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.1]), np.arange(7)))
+@example(table=(np.array([0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0]),))
 def test_series_csv_matches_per_cell_writer(table):
-    columns = [(f"c{i}", "fraction") for i in range(len(table))]
-    result = ScenarioResult(name="table", params={}, series={"t": Series(columns, table)})
-    with tempfile.TemporaryDirectory() as out:
-        series_path = write_outputs(result, {"units": "scaled"}, Path(out))[1]
-        lines = series_path.read_text().split("\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", 3)
+        series_path = write_table(table)
+    lines = series_path.read_text().split("\n")
+    shutil.rmtree(series_path.parent)
     assert lines[2] == ",".join(f"c{i} [1]" for i in range(len(table)))
     assert lines[3:] == per_cell_lines(table) + [""]
+
+
+def test_series_writer_memory_does_not_grow_with_rows():
+    def write_peak(n_rows):
+        # few distinct values, so the time goes to the rows and not to repr
+        table = (
+            np.arange(n_rows) % 7,
+            np.arange(n_rows) % 5 * 0.1,
+            np.asarray(["0", "1"])[np.arange(n_rows) % 2],
+            np.arange(n_rows) % 3 - 0.0,
+        )
+        tracemalloc.start()
+        try:
+            series_path = write_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        shutil.rmtree(series_path.parent)
+        return peak
+
+    write_peak(1000)  # numpy's first-call set-up is not the writer's
+    # Cell text held for every row would add at least a list slot (8 bytes)
+    # a row, 640 KB here; numpy's small-buffer cache moves a few KiB.
+    assert write_peak(10**5) < write_peak(2 * 10**4) + 32 * 1024
 
 
 def test_series_rejects_columns_of_unequal_length():
@@ -316,6 +356,18 @@ class TestResolveConfig:
             resolve_config(
                 {"scenario": "measurement_chain", "params": {"a": 1.0, "b": 1.0}}
             )
+
+    @pytest.mark.parametrize("key, value", [("n_pointer", 10**10), ("n_trials", 10**12)])
+    def test_ensemble_sizes_capped(self, key, value):
+        # resolve only: the rejected sizes would ask for tens of GiB
+        with pytest.raises(ConfigError, match=rf"^params\.{key}: must be in \[1, 10\^6\]"):
+            resolve_config({"scenario": "measurement_chain", "params": {key: value}})
+
+    def test_ensemble_sizes_at_the_caps_accepted(self):
+        params = resolve_config(
+            {"scenario": "measurement_chain", "params": {"n_pointer": 10**6, "n_trials": 10**6}}
+        )["params"]
+        assert (params["n_pointer"], params["n_trials"]) == (10**6, 10**6)
 
     def test_complex_amplitudes_accepted(self):
         config = resolve_config(

@@ -1,6 +1,7 @@
 """Hit process: rates, center sampling, kernels, branched hits, full runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,17 @@ class TestRngStream:
         assert np.array_equal(
             RngStream.trial_uniforms(9, 1000)[:37], RngStream.trial_uniforms(9, 37)
         )
+
+    def test_trial_uniforms_peak_near_raw_bits_plus_result(self):
+        # the raw bits and the doubles are each the result's size; one more
+        # full-size temporary would read 3x
+        tracemalloc.start()
+        try:
+            u = RngStream.trial_uniforms(3, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * u.nbytes
 
 
 class TestCollapseEvent:
