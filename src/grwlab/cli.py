@@ -66,7 +66,7 @@ _UNITS = {
     "scaled": dict(length="L", time="T", mass="M", mass_per_length="M/L", per_length="1/L"),
 }
 _DIMENSIONLESS = {"fraction": "1", "count": "1", "label": "-"}
-# rows per block of a series CSV; its cell texts are all the writer holds
+# rows per block of a series CSV (README, outputs)
 _BLOCK_ROWS = 1024
 
 

@@ -734,8 +734,8 @@ def _parse_dt_list(name: str, value) -> list[float]:
 
 
 POSITIVE = (lambda v: v > 0, "must be positive")
-# measurement_chain's sizes: its arrays grow with both, and a run at both
-# caps peaks near 100 MiB
+# measurement_chain's sizes: its arrays grow with both, and one CLI run at
+# both caps peaks near 110 MiB RSS (README)
 _ENSEMBLE_SIZE = (lambda n: 1 <= n <= 10**6, "must be in [1, 10^6]")
 
 

@@ -2,7 +2,6 @@
 
 import json
 import math
-import shutil
 import struct
 import tempfile
 import tracemalloc
@@ -274,10 +273,10 @@ def tables(draw):
     return tuple(data)
 
 
-def write_table(table) -> Path:
+def write_table(table, out: str) -> Path:
+    """Write ``table`` as series ``t`` into ``out``; returns the CSV's path."""
     columns = [(f"c{i}", "fraction") for i in range(len(table))]
     result = ScenarioResult(name="table", params={}, series={"t": Series(columns, table)})
-    out = tempfile.mkdtemp()
     return write_outputs(result, {"units": "scaled"}, Path(out))[1]
 
 
@@ -291,11 +290,9 @@ def write_table(table) -> Path:
 @example(table=(np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.1]), np.arange(7)))
 @example(table=(np.array([0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0]),))
 def test_series_csv_matches_per_cell_writer(table):
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
         patch.setattr(cli, "_BLOCK_ROWS", 3)
-        series_path = write_table(table)
-    lines = series_path.read_text().split("\n")
-    shutil.rmtree(series_path.parent)
+        lines = write_table(table, out).read_text().split("\n")
     assert lines[2] == ",".join(f"c{i} [1]" for i in range(len(table)))
     assert lines[3:] == per_cell_lines(table) + [""]
 
@@ -309,14 +306,13 @@ def test_series_writer_memory_does_not_grow_with_rows():
             np.asarray(["0", "1"])[np.arange(n_rows) % 2],
             np.arange(n_rows) % 3 - 0.0,
         )
-        tracemalloc.start()
-        try:
-            series_path = write_table(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        shutil.rmtree(series_path.parent)
-        return peak
+        with tempfile.TemporaryDirectory() as out:
+            tracemalloc.start()
+            try:
+                write_table(table, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     write_peak(1000)  # numpy's first-call set-up is not the writer's
     # Cell text held for every row would add at least a list slot (8 bytes)
