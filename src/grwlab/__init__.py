@@ -24,7 +24,6 @@ from .collapse import (
 from .ontology import (
     FuzzyLinkVerdict,
     MatterDensityField,
-    TailReport,
     displaced_tail_center,
     energy_expectation,
     energy_gain_per_hit,
@@ -46,10 +45,8 @@ from .state import (
     gaussian_packet,
     mod_square_density,
     momentum_representation,
-    normalize,
     superposition,
     uniform_state,
-    wavefunction_from_momentum,
 )
 
 __version__ = "0.1.0"

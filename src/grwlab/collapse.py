@@ -238,12 +238,6 @@ class RngStream:
     def uniforms(self, size: int) -> np.ndarray:
         return self._gen.random(size)
 
-    def choose_index(self, probabilities: np.ndarray) -> int:
-        """Inverse-CDF draw from a finite probability vector."""
-        cdf = np.cumsum(probabilities)
-        u = self.random() * cdf[-1]
-        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-
 
 @dataclass(frozen=True)
 class CollapseEvent:
@@ -323,7 +317,8 @@ def sample_center(
 def draw_center_indices(density: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
     """Grid indices of ``size`` centers drawn by inverse CDF from a center density.
 
-    Consumes ``rng.uniforms(size)``, one uniform per center.
+    Consumes ``rng.uniforms(size)``, one uniform per center.  Any finite
+    weight vector works: ``apply_branch_hit`` draws its branch with it.
     """
     cdf = np.cumsum(density)
     if cdf[-1] < NORM_FLOOR:
@@ -378,7 +373,7 @@ def apply_branch_hit(
     if not (0 <= particle < state.n_particles):
         raise IndexError(f"particle index out of range (n_particles = {state.n_particles})")
     pre = state.probabilities
-    k = rng.choose_index(pre)
+    k = int(draw_center_indices(pre, rng, 1)[0])
     center = float(state.branches[k].positions[particle])
     positions = np.array([b.positions[particle] for b in state.branches])
     new_weights = branch_hit_weights(state.weights, positions, center, kernel)

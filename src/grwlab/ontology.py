@@ -25,7 +25,6 @@ from .errors import (
 from .propagator import Potential1D
 from .state import (
     NORM_FLOOR,
-    NORM_TOL,
     BranchedState,
     Grid1D,
     PhysicsParams,
@@ -83,22 +82,6 @@ class FuzzyLinkVerdict:
             "q": self.q,
             "verdict": self.verdict,
         }
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Per-hit tail diagnostics for a two-branch situation."""
-
-    center_weight: float
-    tail_weight: float
-    fuzzy_verdicts: tuple[FuzzyLinkVerdict, ...]
-    isomorphism_score: float
-    peak_displacement: float
-
-    def __post_init__(self):
-        total = self.center_weight + self.tail_weight
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"center + tail weight = {total!r}, expected 1")
 
 
 def _check_region(region: tuple[float, float]) -> tuple[float, float]:

@@ -1,11 +1,11 @@
 """Reproducible seeded experiments, one per concrete physical situation.
 
 Each scenario packages a situation into a runnable unit returning a
-ScenarioResult: the parameters used, summary statistics (with the
-statistical half-widths used by any check), pass/fail verdicts, and
-plot-ready series.  Results are deterministic per seed; each ensemble
-trial draws from its own Philox counter block, so ensembles are
-order-independent.
+ScenarioResult: summary statistics (with the statistical half-widths used
+by any check), pass/fail verdicts, and plot-ready series.  The parameters
+a run used are its resolved config, which the command line writes beside
+the result.  Results are deterministic per seed; each ensemble trial draws
+from its own Philox counter block, so ensembles are order-independent.
 
 ``SCENARIOS`` at the end of the module is the registry: one spec per
 scenario declaring its description, default grid, config fields (parser,
@@ -34,11 +34,11 @@ from .collapse import (
     apply_branch_hit,
     apply_hit,
     branch_hit_weights,
+    draw_center_indices,
     hit_rate,
 )
 from .errors import BoundaryContamination, ConfigError, GridTooCoarseError, NotNormalizedError
 from .ontology import (
-    TailReport,
     displaced_tail_center,
     fuzzy_link,
     isomorphism_score,
@@ -77,8 +77,6 @@ class ScenarioResult:
     """Structured outcome of one scenario run."""
 
     name: str
-    params: dict
-    n_trials_recorded: int = 0
     summary: dict = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
     series: dict[str, Series] = field(default_factory=dict)
@@ -86,10 +84,8 @@ class ScenarioResult:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "params": self.params,
             "summary": self.summary,
             "verdicts": self.verdicts,
-            "n_trials_recorded": self.n_trials_recorded,
         }
 
 
@@ -206,17 +202,6 @@ def measurement_chain(
     }
     return ScenarioResult(
         name="measurement_chain",
-        params={
-            "a": repr(complex(a)),
-            "b": repr(complex(b)),
-            "n_pointer": n_pointer,
-            "separation": separation,
-            "kernel": kernel.label,
-            "lam": params.lam,
-            "n_trials": n_trials,
-            "seed": seed,
-        },
-        n_trials_recorded=n_trials,
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -308,14 +293,6 @@ def marble_in_box(
     }
     return ScenarioResult(
         name="marble_in_box",
-        params={
-            "inside_weight": inside_weight,
-            "box": [lo, hi],
-            "q": q,
-            "kernel": kernel.label,
-            "seed": seed,
-        },
-        n_trials_recorded=1,
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -377,7 +354,6 @@ def billiard_collision(a: complex, b: complex) -> ScenarioResult:
     }
     return ScenarioResult(
         name="billiard_collision",
-        params={"a": repr(complex(a)), "b": repr(complex(b))},
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -423,13 +399,6 @@ def wallace_displacement(
     center_region = (min(grid.x_min - grid.dx, x), mid) if x < y else (mid, grid.x_max)
     tail_weight = tail_mass(post, center_region)
     rho = mod_square_density(post)
-    report = TailReport(
-        center_weight=1.0 - tail_weight,
-        tail_weight=tail_weight,
-        fuzzy_verdicts=(fuzzy_link(post, center_region, 0.1),),
-        isomorphism_score=isomorphism_score(center_component, tail_component),
-        peak_displacement=analytic - y,
-    )
 
     summary = {
         "analytic_peak": analytic,
@@ -438,8 +407,8 @@ def wallace_displacement(
         "difference_cells": difference / grid.dx,
         "displacement": analytic - y,
         "tail_weight": tail_weight,
-        "tail_isomorphism": report.isomorphism_score,
-        "fuzzy_link_center_region": report.fuzzy_verdicts[0].to_dict(),
+        "tail_isomorphism": isomorphism_score(center_component, tail_component),
+        "fuzzy_link_center_region": fuzzy_link(post, center_region, 0.1).to_dict(),
     }
     verdicts = {
         "peak_within_one_cell": abs(difference) <= grid.dx * (1.0 + 1e-9),
@@ -457,13 +426,6 @@ def wallace_displacement(
     }
     return ScenarioResult(
         name="wallace_displacement",
-        params={
-            "x": x,
-            "y": y,
-            "s": s,
-            "sigma": sigma,
-            "grid": [grid.x_min, grid.x_max, grid.n_points],
-        },
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -528,12 +490,6 @@ def hegerfeldt_regrowth(
     }
     return ScenarioResult(
         name="hegerfeldt_regrowth",
-        params={
-            "window": window,
-            "dt_list": [float(dt) for dt in dt_list],
-            "sigma": params.sigma,
-            "grid": [grid.x_min, grid.x_max, grid.n_points],
-        },
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -567,12 +523,13 @@ def kernel_dilemma(
     sigma = kernel_a.sigma
     # missing arguments take the command line's defaults
     spec = SCENARIOS["kernel_dilemma"]
+    context = {"sigma": sigma, "mass": params.mass, "hbar": params.hbar}
     if separation is None:
-        separation = spec.fields["separation"].default_for({"sigma": sigma})
+        separation = spec.fields["separation"].default_for(context)
     if packet_width is None:
-        packet_width = spec.fields["packet_width"].default_for({"sigma": sigma})
-    # regrow time in units of the packet dispersion scale m sigma^2 / hbar
-    regrow_dt = 0.1 * params.mass * sigma**2 / params.hbar if regrow_dt is None else regrow_dt
+        packet_width = spec.fields["packet_width"].default_for(context)
+    if regrow_dt is None:
+        regrow_dt = spec.fields["regrow_dt"].default_for(context)
     if grid is None:
         half_width, n_points = spec.grid
         grid = Grid1D(-half_width * sigma, half_width * sigma, n_points)
@@ -584,7 +541,7 @@ def kernel_dilemma(
     psi = superposition([(1.0 / math.sqrt(2), packet_0), (1.0 / math.sqrt(2), packet_1)])
 
     rng = RngStream(seed)
-    selected = rng.choose_index(np.array([0.5, 0.5]))
+    selected = int(draw_center_indices(np.array([0.5, 0.5]), rng, 1)[0])
     z = 0.0 if selected == 0 else separation
     far = separation if selected == 0 else 0.0
     mid = separation / 2.0
@@ -669,15 +626,6 @@ def kernel_dilemma(
     }
     return ScenarioResult(
         name="kernel_dilemma",
-        params={
-            "kernel_a": kernel_a.label,
-            "kernel_b": kernel_b.label,
-            "separation": separation,
-            "packet_width": packet_width,
-            "regrow_dt": regrow_dt,
-            "grid": [grid.x_min, grid.x_max, grid.n_points],
-            "seed": seed,
-        },
         summary=summary,
         verdicts=verdicts,
         series=series,
@@ -967,7 +915,14 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         "under free unitary evolution",
         fields={
             "window": Field(parse_number, lambda ph: ph["window"], POSITIVE),
-            "dt_list": Field(_parse_dt_list, [0.0, 1e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]),
+            # in units of the packet dispersion scale m sigma^2 / hbar
+            "dt_list": Field(
+                _parse_dt_list,
+                lambda ph: [
+                    dt * (ph["mass"] * ph["sigma"] ** 2 / ph["hbar"])
+                    for dt in (0.0, 1e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)
+                ],
+            ),
         },
         check=_regrowth_resolves,
         grid=(64.0, 4096),
@@ -981,8 +936,10 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         fields={
             "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
             "packet_width": Field(parse_number, lambda ph: ph["sigma"] / 8.0, POSITIVE),
-            # None: 0.1 m sigma^2 / hbar, set by kernel_dilemma
-            "regrow_dt": Field(parse_number, None, POSITIVE),
+            # 0.1 in units of the packet dispersion scale m sigma^2 / hbar
+            "regrow_dt": Field(
+                parse_number, lambda ph: 0.1 * ph["mass"] * ph["sigma"] ** 2 / ph["hbar"], POSITIVE
+            ),
         },
         check=_dilemma_fits_grid,
         run=lambda p, ph, grid, seed: kernel_dilemma(

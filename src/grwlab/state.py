@@ -208,18 +208,6 @@ def superposition(
     return WaveFunction1D.from_samples(grid, total)
 
 
-def normalize(psi: WaveFunction1D) -> WaveFunction1D:
-    """Rescale amplitudes by a positive real so that norm^2 = 1.
-
-    Raises ZeroNormError when norm^2 < NORM_FLOOR (a fully annihilated
-    state, e.g. after a compact truncation removed everything).
-    """
-    n2 = psi.norm_squared
-    if n2 < NORM_FLOOR:
-        raise ZeroNormError(f"norm^2 = {n2!r} below {NORM_FLOOR}")
-    return WaveFunction1D(psi.grid, psi.amplitudes / np.sqrt(n2))
-
-
 def mod_square_density(psi: WaveFunction1D) -> np.ndarray:
     """Pointwise |psi|^2; integrates (sum * dx) to norm^2."""
     return np.abs(psi.amplitudes) ** 2
@@ -233,11 +221,6 @@ def momentum_representation(psi: WaveFunction1D) -> np.ndarray:
     ``grid.wavenumbers[k]``; momentum is hbar * k.
     """
     return np.fft.fft(psi.amplitudes) / np.sqrt(psi.grid.n_points)
-
-
-def wavefunction_from_momentum(grid: Grid1D, psi_k: np.ndarray) -> WaveFunction1D:
-    """Inverse of momentum_representation."""
-    return WaveFunction1D(grid, np.fft.ifft(psi_k) * np.sqrt(grid.n_points))
 
 
 @dataclass(frozen=True)

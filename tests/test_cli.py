@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from grwlab import cli
 from grwlab.cli import _format_column, list_scenarios, main, resolve_config, run, write_outputs
 from grwlab.errors import ConfigError
-from grwlab.scenarios import ScenarioResult, Series
+from grwlab.scenarios import SCENARIOS, ScenarioResult, Series
 
 
 def write_config(path, payload):
@@ -81,6 +81,18 @@ class TestRun:
         )
         assert run(config) == 2
         assert "BoundaryContamination" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("units", ["scaled", "si"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_bare_config_runs_and_passes(self, scenario, units, tmp_path):
+        # every default resolves to a run that exits 0; only the Born
+        # frequency is a statistical check that a seed may fail
+        config = write_config(tmp_path / "bare.yaml", {"scenario": scenario, "units": units})
+        assert run(config, out_override=str(tmp_path / "out")) == 0
+        payload = json.loads((tmp_path / "out" / f"summary.{scenario}.json").read_text())
+        assert set(payload["result"]) == {"name", "summary", "verdicts"}
+        failed = {key for key, ok in payload["result"]["verdicts"].items() if not ok}
+        assert failed <= {"born_frequency_within_3sigma"}
 
     def test_same_config_and_seed_byte_identical(self, chain_config, tmp_path):
         assert run(chain_config) == 0
@@ -276,7 +288,7 @@ def tables(draw):
 def write_table(table, out: str) -> Path:
     """Write ``table`` as series ``t`` into ``out``; returns the CSV's path."""
     columns = [(f"c{i}", "fraction") for i in range(len(table))]
-    result = ScenarioResult(name="table", params={}, series={"t": Series(columns, table)})
+    result = ScenarioResult(name="table", series={"t": Series(columns, table)})
     return write_outputs(result, {"units": "scaled"}, Path(out))[1]
 
 

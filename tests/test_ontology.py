@@ -14,7 +14,6 @@ from grwlab import (
     PhysicsParams,
     Potential1D,
     RngStream,
-    TailReport,
     WaveFunction1D,
     apply_hit,
     displaced_tail_center,
@@ -485,16 +484,6 @@ class TestEnergyGainPerHit:
 
 
 class TestTailReport:
-    def test_closure_enforced(self):
-        with pytest.raises(ValueError):
-            TailReport(
-                center_weight=0.9,
-                tail_weight=0.2,
-                fuzzy_verdicts=(),
-                isomorphism_score=1.0,
-                peak_displacement=0.0,
-            )
-
     def test_fresh_post_hit_tail_is_near_isomorphic_to_center(self):
         # symmetric packets, Gaussian hit: both lobes stay Gaussian with the
         # same width, so their unit-normalized profiles nearly coincide
