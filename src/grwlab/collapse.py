@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 
 import numpy as np
@@ -34,7 +34,6 @@ from .propagator import Potential1D, evolve, evolve_free
 from .state import (
     NORM_FLOOR,
     NORM_TOL,
-    Branch,
     BranchedState,
     Grid1D,
     PhysicsParams,
@@ -374,19 +373,16 @@ def apply_branch_hit(
         raise IndexError(f"particle index out of range (n_particles = {state.n_particles})")
     pre = state.probabilities
     k = int(draw_center_indices(pre, rng, 1)[0])
-    center = float(state.branches[k].positions[particle])
-    positions = np.array([b.positions[particle] for b in state.branches])
-    new_weights = branch_hit_weights(state.weights, positions, center, kernel)
-    branches = tuple(
-        Branch(w, b.label, b.positions) for w, b in zip(new_weights, state.branches)
-    )
-    new_state = BranchedState(branches, state.branch_width)
+    positions = state.positions[:, particle]
+    center = float(positions[k])
+    # the positions matrix is read-only, so the post-hit state shares it
+    new_state = replace(state, weights=branch_hit_weights(state.weights, positions, center, kernel))
     event = CollapseEvent(
         time=time,
         particle=particle,
         center=center,
         kernel=kernel.label,
-        selected_branch=state.branches[k].label,
+        selected_branch=state.labels[k],
         pre_weights=tuple(float(p) for p in pre),
         post_weights=tuple(float(p) for p in new_state.probabilities),
     )

@@ -119,10 +119,10 @@ def matter_density(
         raise ValueError("a rendering grid is required for branched states")
     values = np.zeros(grid.n_points)
     width = state.branch_width
-    for prob, branch in zip(state.probabilities, state.branches):
+    for prob, row in zip(state.probabilities, state.positions):
         if prob == 0.0:
             continue
-        for mass, position in zip(masses, branch.positions):
+        for mass, position in zip(masses, row):
             d = grid.wrap(grid.points - position)
             bump = np.exp(-(d**2) / (2.0 * width**2))
             # normalize on the grid so the mass ledger is exact at any resolution

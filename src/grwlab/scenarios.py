@@ -153,7 +153,7 @@ def measurement_chain(
     del u  # the largest array: four doubles a trial, and nothing below reads it
     np.minimum(selected, state.n_branches - 1, out=selected)
     # The post-hit tail weight depends only on the selected branch.
-    positions = np.array([b.positions[0] for b in state.branches])
+    positions = state.positions[:, 0]
     tail_by_branch = np.array(
         [
             1.0 - (np.abs(branch_hit_weights(state.weights, positions, z, kernel)) ** 2)[k]
@@ -251,7 +251,7 @@ def marble_in_box(
     def branch_profile(label: str) -> np.ndarray:
         index = state.labels.index(label)
         solo = BranchedState.from_amplitudes(
-            [1.0], [label], [state.branches[index].positions], branch_width=width
+            [1.0], [label], [state.positions[index]], branch_width=width
         )
         return matter_density(solo, [marble_mass], grid).values
 

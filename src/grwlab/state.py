@@ -225,54 +225,55 @@ def momentum_representation(psi: WaveFunction1D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Branch:
-    """One decohered product branch: complex weight, label, particle positions."""
+    """One branch of a BranchedState, as ``BranchedState.branches`` lists it."""
 
     weight: complex
     label: str
     positions: np.ndarray
 
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 1:
-            raise ValueError("positions must be a 1-d per-particle array")
-        if not np.all(np.isfinite(pos)):
-            raise NonFiniteInputError("branch positions contain NaN or infinity")
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weight", complex(self.weight))
-
 
 @dataclass(frozen=True)
 class BranchedState:
-    """Weighted list of mutually orthogonal point-localized product branches.
+    """Weighted mutually orthogonal point-localized product branches.
 
     Models a decohered macroscopic superposition: branches never overlap and
-    evolve independently; branch_width is the nominal per-particle packet
-    width, kept as metadata only (the dynamics treats branches as
-    point-localized).
+    evolve independently.  Branch j has complex weight ``weights[j]``,
+    label ``labels[j]`` and particle positions ``positions[j]``, a row of a
+    read-only (n_branches, n_particles) matrix; branch_width is the nominal
+    per-particle packet width, kept as metadata only (the dynamics treats
+    branches as point-localized).
     """
 
-    branches: tuple[Branch, ...]
+    weights: np.ndarray
+    labels: tuple[str, ...]
+    positions: np.ndarray
     branch_width: float
 
     def __post_init__(self):
-        if not self.branches:
-            raise ValueError("BranchedState needs at least one branch")
+        weights = np.asarray(self.weights, dtype=np.complex128)
+        positions = np.asarray(self.positions, dtype=np.float64)
+        labels, k = tuple(self.labels), len(self.labels)
+        if k == 0 or weights.shape != (k,) or positions.ndim != 2 or len(positions) != k:
+            raise ValueError(
+                "need k >= 1 branches: k weights, k labels and a (k, n_particles) positions "
+                f"matrix; got {weights.shape}, {k} and {positions.shape}"
+            )
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"branch labels must be unique, got {list(labels)}")
+        if not np.all(np.isfinite(positions)):
+            raise NonFiniteInputError("branch positions contain NaN or infinity")
         if self.branch_width <= 0:
             raise ValueError(f"branch_width must be positive, got {self.branch_width}")
-        object.__setattr__(self, "branches", tuple(self.branches))
-        n = self.branches[0].positions.size
-        for b in self.branches:
-            if b.positions.size != n:
-                raise ValueError("all branches must have identical n_particles")
-        labels = [b.label for b in self.branches]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"branch labels must be unique, got {labels}")
-        closure = sum(abs(b.weight) ** 2 for b in self.branches)
-        if abs(closure - 1.0) > NORM_TOL:
+        closure = float(np.sum(np.abs(weights) ** 2))
+        if not abs(closure - 1.0) <= NORM_TOL:
             raise NotNormalizedError(
                 f"sum of mod-square weights = {closure!r} outside 1 +/- {NORM_TOL}"
             )
+        weights.setflags(write=False)
+        positions.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
     def from_amplitudes(
@@ -287,23 +288,20 @@ class BranchedState:
         if closure < NORM_FLOOR:
             raise ZeroNormError("all branch weights are (numerically) zero")
         scale = 1.0 / np.sqrt(closure)
-        branches = tuple(
-            Branch(w * scale, lbl, np.asarray(pos, dtype=np.float64))
-            for w, lbl, pos in zip(weights, labels, positions, strict=True)
+        return cls(
+            np.array([w * scale for w in weights], dtype=np.complex128),
+            labels,
+            np.array(positions, dtype=np.float64),
+            branch_width,
         )
-        return cls(branches, branch_width)
 
     @property
     def n_particles(self) -> int:
-        return self.branches[0].positions.size
+        return self.positions.shape[1]
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([b.weight for b in self.branches], dtype=np.complex128)
+        return self.weights.size
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -311,17 +309,15 @@ class BranchedState:
         return np.abs(self.weights) ** 2
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(b.label for b in self.branches)
+    def branches(self) -> tuple[Branch, ...]:
+        return tuple(map(Branch, self.weights.tolist(), self.labels, self.positions))
 
 
 def branch_distance(state: BranchedState, j: int, k: int, particle: int) -> float:
-    """|positions_j[particle] - positions_k[particle]| for two branches."""
+    """|positions[j, particle] - positions[k, particle]| for two branches."""
     n = state.n_branches
     if not (0 <= j < n and 0 <= k < n):
         raise IndexError(f"branch index out of range (n_branches = {n})")
     if not (0 <= particle < state.n_particles):
         raise IndexError(f"particle index out of range (n_particles = {state.n_particles})")
-    return float(
-        abs(state.branches[j].positions[particle] - state.branches[k].positions[particle])
-    )
+    return float(abs(state.positions[j, particle] - state.positions[k, particle]))

@@ -215,6 +215,13 @@ class TestApplyBranchHit:
         assert ordered[0] == pytest.approx(light, abs=1e-12)
         assert event.post_weights == pytest.approx(tuple(new_state.probabilities))
 
+    def test_post_hit_state_shares_labels_and_positions(self):
+        state = two_branch(0.5, 4.0, n_particles=3)
+        new_state, _ = apply_branch_hit(state, 2, GaussianKernel(1.0), RngStream(3))
+        assert new_state.positions is state.positions
+        assert new_state.labels == state.labels
+        assert new_state.branch_width == state.branch_width
+
     def test_born_selection_frequencies(self):
         state = two_branch(0.7, 4.0)
         kernel = GaussianKernel(1.0)

@@ -14,7 +14,7 @@ from grwlab import (
     momentum_representation,
     uniform_state,
 )
-from grwlab.errors import NotNormalizedError, ZeroNormError
+from grwlab.errors import NonFiniteInputError, NotNormalizedError, ZeroNormError
 
 
 def quad_variance(grid, density):
@@ -173,6 +173,45 @@ class TestBranchedState:
                 [1.0, 0.0], ["a", "b"], [np.zeros(2), np.zeros(3)], branch_width=0.1
             )
 
+    @pytest.mark.parametrize(
+        "weights, labels, positions",
+        [
+            ([], [], np.zeros((0, 1))),  # no branch
+            ([1.0, 0.0], ["a", "b"], np.zeros((3, 1))),  # three position rows
+            ([1.0, 0.0], ["a", "b", "c"], np.zeros((2, 1))),  # three labels
+            ([1.0, 0.0], ["a", "b"], np.zeros(2)),  # positions not a matrix
+            ([[1.0, 0.0]], ["a", "b"], np.zeros((2, 1))),  # weights not a vector
+        ],
+    )
+    def test_constructor_rejects_mismatched_shapes(self, weights, labels, positions):
+        with pytest.raises(ValueError, match="need k >= 1 branches"):
+            BranchedState(np.array(weights), labels, positions, branch_width=0.1)
+
+    def test_constructor_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="unique"):
+            BranchedState([1.0, 0.0], ["x", "x"], np.zeros((2, 1)), branch_width=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite_positions(self, bad):
+        with pytest.raises(NonFiniteInputError):
+            BranchedState([1.0, 0.0], ["a", "b"], [[0.0], [bad]], branch_width=0.1)
+
+    @pytest.mark.parametrize("weights", [[1.0, 1.0], [0.5, 0.5], [np.nan, 1.0], [1.0 + 2e-9, 0.0]])
+    def test_constructor_rejects_bad_closure(self, weights):
+        with pytest.raises(NotNormalizedError):
+            BranchedState(weights, ["a", "b"], np.zeros((2, 1)), branch_width=0.1)
+
+    def test_arrays_and_branch_records_agree(self):
+        state = two_branch_state(4.0, weights=(0.6, 0.8j), n_particles=2)
+        assert state.positions.shape == (state.n_branches, state.n_particles) == (2, 2)
+        assert state.labels == ("0", "1")
+        np.testing.assert_array_equal(state.weights, [0.6, 0.8j])
+        for branch, weight, label, row in zip(
+            state.branches, state.weights, state.labels, state.positions
+        ):
+            assert (branch.weight, branch.label) == (weight, label)
+            np.testing.assert_array_equal(branch.positions, row)
+
     def test_distance_zero_for_same_branch(self):
         state = two_branch_state(4.0)
         assert branch_distance(state, 0, 0, 0) == 0.0
@@ -204,6 +243,13 @@ class TestImmutability:
         state = two_branch_state(1.0)
         with pytest.raises(ValueError):
             state.branches[0].positions[0] = 9.0
+
+    def test_state_arrays_read_only(self):
+        state = two_branch_state(1.0)
+        with pytest.raises(ValueError):
+            state.positions[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            state.weights[0] = 1.0
 
 
 def test_norm_preserved_over_random_constructions():
