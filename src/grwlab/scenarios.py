@@ -682,6 +682,11 @@ def _parse_dt_list(name: str, value) -> list[float]:
 
 
 POSITIVE = (lambda v: v > 0, "must be positive")
+# marble_in_box renders on [lo - 1.5 span, hi + 1.5 span) with bumps of
+# width span / 16.  Within these spans its bump exponents (d / width)^2,
+# |d| <= 2 span, and the squared profile norms that isomorphism_score takes
+# (about 10^3 / span^2) stay finite normal floats.
+_BOX_SPAN = (lambda box: 1e-150 <= box[1] - box[0] <= 1e150, "hi - lo must be in [1e-150, 1e150]")
 # measurement_chain's sizes: its arrays grow with both, and one CLI run at
 # both caps peaks near 110 MiB RSS (README)
 _ENSEMBLE_SIZE = (lambda n: 1 <= n <= 10**6, "must be in [1, 10^6]")
@@ -852,7 +857,32 @@ def _dilemma_fits_grid(params: dict, physics: dict, grid: dict) -> None:
 
 def _regrowth_resolves(params: dict, physics: dict, grid: dict) -> None:
     # the packet's width is physics.sigma
-    _resolves_widths(grid, {"physics.sigma": physics["sigma"]})
+    sigma = physics["sigma"]
+    _resolves_widths(grid, {"physics.sigma": sigma})
+    # The packet sits at the box centre.  It, the window around it and the
+    # free packet at the largest dt each keep 5 widths (mod-square density
+    # down by exp(-12.5)) inside half the box.
+    half = 0.5 * (grid["x_max"] - grid["x_min"])
+    if not 5.0 * sigma <= half:
+        raise ConfigError(
+            f"grid.x_min/x_max: the packet at the box centre and 5 widths (physics.sigma = "
+            f"{sigma}) either side must fit in the box; need a length of at least "
+            f"{10.0 * sigma}, got {2.0 * half}"
+        )
+    if not params["window"] + 5.0 * sigma <= half:
+        raise ConfigError(
+            f"params.window: the window plus 5 packet widths (physics.sigma) must fit in half "
+            f"the box, {half}; need window <= {half - 5.0 * sigma}, got {params['window']}"
+        )
+    dt = max(params["dt_list"])
+    spread = physics["hbar"] * dt / (2.0 * physics["mass"] * sigma) / sigma
+    free_width = sigma * math.hypot(1.0, spread)
+    if not 5.0 * free_width <= half:
+        raise ConfigError(
+            f"params.dt_list: at the largest dt, {dt}, the free packet width "
+            f"sigma sqrt(1 + (hbar dt / 2 m sigma^2)^2) is {free_width:.6g}; 5 of them must "
+            f"fit in half the box, {half}"
+        )
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
@@ -877,7 +907,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         "fuzzy-link location verdict, and inside-vs-outside structure score",
         fields={
             "inside_weight": Field(parse_number, 0.95, (lambda v: 0 < v < 1, "must lie in (0, 1)")),
-            "box": Field(_parse_interval, [-2.0, 2.0]),
+            "box": Field(_parse_interval, [-2.0, 2.0], _BOX_SPAN),
             "q": Field(
                 parse_number, 0.1, (lambda v: 0 < v < 0.5, "must lie in the open interval (0, 0.5)")
             ),

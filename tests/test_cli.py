@@ -18,10 +18,36 @@ from grwlab.cli import _format_column, list_scenarios, main, resolve_config, run
 from grwlab.errors import ConfigError
 from grwlab.scenarios import SCENARIOS, ScenarioResult, Series
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(path, payload):
     path.write_text(yaml.safe_dump(payload))
     return str(path)
+
+
+# Configs that once got past resolve_config (exit 2, or exit 0 with failed
+# verdicts), as YAML text: PyYAML reads 1e300 as a string, so the floats use
+# YAML 1.1 syntax.  CI runs the same texts through the console script.
+OUT_OF_BOUNDS_CONFIGS = {
+    "dt_list_1e300": (
+        "scenario: hegerfeldt_regrowth\nparams: {dt_list: [0.0, 1.0e+300]}\n", "params.dt_list"
+    ),
+    "box_2e-300": (
+        "scenario: hegerfeldt_regrowth\ngrid: {x_min: -1.0e-300, x_max: 1.0e-300}\n",
+        "grid.x_min/x_max",
+    ),
+    "window_100": ("scenario: hegerfeldt_regrowth\nparams: {window: 100}\n", "params.window"),
+    "marble_box_1e-300": (
+        "scenario: marble_in_box\nparams: {box: [0.0, 1.0e-300]}\n", "params.box"
+    ),
+    "marble_box_1e300": (
+        "scenario: marble_in_box\nparams: {box: [0.0, 1.0e+300]}\n", "params.box"
+    ),
+    "n_points_1e8": (
+        "scenario: wallace_displacement\ngrid: {n_points: 100000000}\n", "grid.n_points"
+    ),
+}
 
 
 @pytest.fixture
@@ -70,13 +96,15 @@ class TestRun:
         assert run(str(tmp_path / "nope.yaml")) == 1
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
-        # tiny box + long evolution: boundary contamination escalates
+        # tiny box + long evolution: boundary contamination escalates.  The
+        # free packet (width 1.12 at dt = 1) fits the box, but the truncated
+        # packet's short wavelengths reach its edges
         config = write_config(
             tmp_path / "contaminated.yaml",
             {
                 "scenario": "hegerfeldt_regrowth",
                 "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 512},
-                "params": {"window": 1.0, "dt_list": [0.0, 10.0]},
+                "params": {"window": 1.0, "dt_list": [0.0, 1.0]},
             },
         )
         assert run(config) == 2
@@ -193,6 +221,26 @@ class TestRun:
         assert run(config) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, field", OUT_OF_BOUNDS_CONFIGS.values(), ids=OUT_OF_BOUNDS_CONFIGS.keys()
+    )
+    def test_out_of_bounds_config_exits_one_naming_field(self, tmp_path, capsys, text, field):
+        config = tmp_path / "bounds.yaml"
+        config.write_text(text)
+        assert run(str(config), out_override=str(tmp_path / "out")) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("box", [[0.0, 1e-150], [-1e150, 0.0]])
+    def test_marble_box_at_the_span_bounds_passes(self, tmp_path, box):
+        config = write_config(
+            tmp_path / "marble.yaml",
+            {"scenario": "marble_in_box", "out_dir": str(tmp_path / "out"), "params": {"box": box}},
+        )
+        assert run(config) == 0
+        summary = json.loads((tmp_path / "out" / "summary.marble_in_box.json").read_text())
+        assert all(summary["result"]["verdicts"].values())
 
     def test_summary_is_strict_json_when_a_weight_vanishes(self, tmp_path):
         # q = |b|^2 = 0 leaves no finite dominance ratio; JSON has no Infinity
@@ -376,6 +424,19 @@ class TestResolveConfig:
             {"scenario": "measurement_chain", "params": {"n_pointer": 10**6, "n_trials": 10**6}}
         )["params"]
         assert (params["n_pointer"], params["n_trials"]) == (10**6, 10**6)
+
+    def test_grid_points_capped(self):
+        # resolve only: 10^8 points would ask for 1.6 GB per complex array
+        with pytest.raises(ConfigError, match=r"^grid\.n_points: must be in \[2, 2\^20\]"):
+            resolve_config({"scenario": "kernel_dilemma", "grid": {"n_points": 10**8}})
+
+    def test_grid_points_at_the_cap_accepted(self):
+        grid = resolve_config({"scenario": "kernel_dilemma", "grid": {"n_points": 2**20}})["grid"]
+        assert grid["n_points"] == 2**20
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_load_config_matches_pure_python_parser(self, path):
+        assert cli.load_config(path) == yaml.load(path.read_text(), Loader=yaml.SafeLoader)
 
     def test_complex_amplitudes_accepted(self):
         config = resolve_config(
