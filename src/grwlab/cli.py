@@ -57,7 +57,7 @@ _PHYSICS_FIELDS = {
 _GRID_FIELDS = {
     "x_min": Field(parse_number, lambda g: -g[0]),
     "x_max": Field(parse_number, lambda g: g[0]),
-    # one CLI run of the heaviest grid scenario at the cap peaks near 235 MiB RSS (README)
+    # one CLI run of the heaviest grid scenario at the cap peaks near 233 MiB RSS (README)
     "n_points": Field(
         parse_integer, lambda g: g[1], (lambda n: 2 <= n <= 2**20, "must be in [2, 2^20]")
     ),

@@ -310,6 +310,7 @@ class BranchedState:
 
     @property
     def branches(self) -> tuple[Branch, ...]:
+        """One record per branch: weight, label and its row of positions."""
         return tuple(map(Branch, self.weights.tolist(), self.labels, self.positions))
 
 
