@@ -91,15 +91,15 @@ def resolve_config(
     """Validate and fill in defaults; returns the fully resolved config.
 
     Unknown keys anywhere are rejected with a field-level message.  The
-    params block, its defaults and its cross-field rules come from the
-    scenario's entry in ``SCENARIOS``.
+    physics fields, grid, params fields, defaults and cross-field rules
+    come from the scenario's entry in ``SCENARIOS``.
     """
-    reject_unknown(raw, _TOP_KEYS, "config")
 
     scenario = raw.get("scenario")
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"scenario: expected one of {sorted(SCENARIOS)}, got {scenario!r}")
     spec = SCENARIOS[scenario]
+    reject_unknown(raw, _TOP_KEYS if spec.grid else _TOP_KEYS - {"grid"}, "config")
 
     units = units_override or raw.get("units", "scaled")
     if units not in ("scaled", "si"):
@@ -114,13 +114,15 @@ def resolve_config(
         raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
 
     unit_defaults = PhysicsParams.scaled(lam=1e-3) if units == "scaled" else PhysicsParams.si()
-    physics = resolve_fields(raw.get("physics") or {}, "physics", _PHYSICS_FIELDS, unit_defaults)
+    physics_fields = {key: _PHYSICS_FIELDS[key] for key in spec.physics}
+    physics = resolve_fields(raw.get("physics") or {}, "physics", physics_fields, unit_defaults)
 
-    half_width, n_points = spec.grid
-    grid_default = (half_width * physics["sigma"], n_points)
-    grid = resolve_fields(raw.get("grid") or {}, "grid", _GRID_FIELDS, grid_default)
-    if grid["x_max"] <= grid["x_min"]:
-        raise ConfigError("grid.x_max: must exceed grid.x_min")
+    grid = None
+    if spec.grid is not None:
+        grid_default = (spec.grid[0] * physics["sigma"], spec.grid[1])
+        grid = resolve_fields(raw.get("grid") or {}, "grid", _GRID_FIELDS, grid_default)
+        if grid["x_max"] <= grid["x_min"]:
+            raise ConfigError("grid.x_max: must exceed grid.x_min")
 
     params = resolve_fields(raw.get("params") or {}, "params", spec.fields, physics)
     if spec.check is not None:
@@ -139,9 +141,8 @@ def resolve_config(
 
 def dispatch(config: dict) -> ScenarioResult:
     """Run the configured scenario and return its result."""
-    return SCENARIOS[config["scenario"]].run(
-        config["params"], config["physics"], Grid1D(**config["grid"]), config["seed"]
-    )
+    spec, grid = SCENARIOS[config["scenario"]], config["grid"]
+    return spec.run(config["params"], config["physics"], grid and Grid1D(**grid), config["seed"])
 
 
 def _format_column(values: np.ndarray, end: str = "") -> list[str]:

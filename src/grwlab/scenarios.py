@@ -3,13 +3,13 @@
 Each scenario packages a situation into a runnable unit returning a
 ScenarioResult: summary statistics (with the statistical half-widths used
 by any check), pass/fail verdicts, and plot-ready series.  The parameters
-a run used are its resolved config, which the command line writes beside
-the result.  Results are deterministic per seed; each ensemble trial draws
+a run used, and only those, are its resolved config, written beside the
+result.  Results are deterministic per seed; each ensemble trial draws
 from its own Philox counter block, so ensembles are order-independent.
 
 ``SCENARIOS`` at the end of the module is the registry: one spec per
-scenario declaring its description, default grid, config fields (parser,
-default, bound), cross-field rules, and how the command line calls it.
+scenario declaring its description, physics fields, grid, params fields
+(parser, default, bound), cross-field rules, and how the command line calls it.
 
 Scenario defaults assume scaled desk units (hbar = m = 1, sigma order 1):
 the SI per-particle rate produces no events on any human timescale, which
@@ -213,7 +213,6 @@ def marble_in_box(
     box: tuple[float, float],
     q: float,
     kernel: CollapseKernel,
-    params: PhysicsParams,
     seed: int,
 ) -> ScenarioResult:
     """A marble in superposition of inside / outside a box.
@@ -500,11 +499,11 @@ def kernel_dilemma(
     kernel_a: GaussianKernel,
     kernel_b: CompactSupportKernel,
     params: PhysicsParams,
-    grid: Grid1D | None = None,
-    separation: float | None = None,
-    packet_width: float | None = None,
-    regrow_dt: float | None = None,
-    seed: int = 0,
+    grid: Grid1D,
+    separation: float,
+    packet_width: float,
+    regrow_dt: float,
+    seed: int,
 ) -> ScenarioResult:
     """The two-column trade-off between Gaussian and compact-support hits.
 
@@ -521,18 +520,6 @@ def kernel_dilemma(
     if not isinstance(kernel_b, CompactSupportKernel):
         raise TypeError("kernel_b must be a CompactSupportKernel")
     sigma = kernel_a.sigma
-    # missing arguments take the command line's defaults
-    spec = SCENARIOS["kernel_dilemma"]
-    context = {"sigma": sigma, "mass": params.mass, "hbar": params.hbar}
-    if separation is None:
-        separation = spec.fields["separation"].default_for(context)
-    if packet_width is None:
-        packet_width = spec.fields["packet_width"].default_for(context)
-    if regrow_dt is None:
-        regrow_dt = spec.fields["regrow_dt"].default_for(context)
-    if grid is None:
-        half_width, n_points = spec.grid
-        grid = Grid1D(-half_width * sigma, half_width * sigma, n_points)
     if kernel_b.window >= separation / 2.0:
         raise ValueError("compact window must be smaller than half the separation")
 
@@ -709,7 +696,8 @@ class Field:
 def reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed keys are {sorted(allowed)}")
+        names = ", ".join(f"{where}.{key}" for key in unknown)
+        raise ConfigError(f"{names}: unknown key; allowed keys are {sorted(allowed)}")
 
 
 def resolve_fields(section, where: str, fields: dict[str, Field], context) -> dict:
@@ -737,21 +725,23 @@ def resolve_fields(section, where: str, fields: dict[str, Field], context) -> di
 class ScenarioSpec:
     """Everything the command line knows about one scenario.
 
-    ``grid``: the default grid, (half-width in units of sigma, n_points)
-    centred on zero.  ``check(params, physics, grid)`` raises ConfigError
-    for rules that span fields.  ``run(params, physics, grid, seed)`` calls
-    the scenario with the resolved config blocks and a Grid1D.
+    ``physics``: the only physics fields accepted, those that ``run``, the
+    ``fields`` defaults and ``check`` read.  ``grid``: the default grid,
+    (half-width in units of sigma, n_points) centred on zero, or None for no
+    grid.  ``check(params, physics, grid)`` raises ConfigError for rules that
+    span fields; ``run(params, physics, grid, seed)`` calls the scenario.
     """
 
     description: str
     fields: dict[str, Field]
-    run: Callable[[dict, dict, Grid1D, int], ScenarioResult]
-    check: Callable[[dict, dict, dict], None] | None = None
-    grid: tuple[float, int] = (16.0, 2048)
+    run: Callable[[dict, dict, Grid1D | None, int], ScenarioResult]
+    physics: tuple[str, ...] = ()
+    check: Callable[[dict, dict, dict | None], None] | None = None
+    grid: tuple[float, int] | None = None
 
 
-def _physics_params(physics: dict) -> PhysicsParams:
-    return PhysicsParams(physics["hbar"], physics["mass"], physics["lam"], physics["sigma"])
+def _physics_params(ph: dict) -> PhysicsParams:
+    return PhysicsParams(**{k: ph[k] for k in ("hbar", "mass", "lam", "sigma") if k in ph})
 
 
 def _kernel(physics: dict) -> CollapseKernel:
@@ -896,6 +886,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
             "n_trials": Field(parse_integer, 10000, _ENSEMBLE_SIZE),
         },
+        physics=("lam", "sigma", "kernel", "window"),
         check=_chain_fits_floats,
         run=lambda p, ph, grid, seed: measurement_chain(
             complex(*p["a"]), complex(*p["b"]), p["n_pointer"], p["separation"],
@@ -912,8 +903,9 @@ SCENARIOS: dict[str, ScenarioSpec] = {
                 parse_number, 0.1, (lambda v: 0 < v < 0.5, "must lie in the open interval (0, 0.5)")
             ),
         },
+        physics=("sigma", "kernel", "window"),
         run=lambda p, ph, grid, seed: marble_in_box(
-            p["inside_weight"], tuple(p["box"]), p["q"], _kernel(ph), _physics_params(ph), seed
+            p["inside_weight"], tuple(p["box"]), p["q"], _kernel(ph), seed
         ),
     ),
     "billiard_collision": ScenarioSpec(
@@ -934,6 +926,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "y": Field(parse_number, lambda ph: 10.0 * ph["sigma"]),
             "s": Field(parse_number, lambda ph: ph["sigma"], POSITIVE),
         },
+        physics=("sigma",),
         check=_centers_in_box,
         grid=(32.0, 4096),
         run=lambda p, ph, grid, seed: wallace_displacement(
@@ -944,7 +937,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         description="instantaneous tail regrowth of a compact-truncated packet "
         "under free unitary evolution",
         fields={
-            "window": Field(parse_number, lambda ph: ph["window"], POSITIVE),
+            "window": Field(parse_number, lambda ph: ph["sigma"], POSITIVE),
             # in units of the packet dispersion scale m sigma^2 / hbar
             "dt_list": Field(
                 _parse_dt_list,
@@ -954,6 +947,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
                 ],
             ),
         },
+        physics=("hbar", "mass", "sigma"),
         check=_regrowth_resolves,
         grid=(64.0, 4096),
         run=lambda p, ph, grid, seed: hegerfeldt_regrowth(
@@ -971,7 +965,9 @@ SCENARIOS: dict[str, ScenarioSpec] = {
                 parse_number, lambda ph: 0.1 * ph["mass"] * ph["sigma"] ** 2 / ph["hbar"], POSITIVE
             ),
         },
+        physics=("hbar", "mass", "sigma", "window"),
         check=_dilemma_fits_grid,
+        grid=(16.0, 2048),
         run=lambda p, ph, grid, seed: kernel_dilemma(
             GaussianKernel(ph["sigma"]), CompactSupportKernel(ph["sigma"], ph["window"]),
             _physics_params(ph), grid, p["separation"], p["packet_width"], p["regrow_dt"], seed,

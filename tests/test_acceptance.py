@@ -272,10 +272,15 @@ class TestCriterion8EnergyLedger:
 
 class TestCriterion9DilemmaTable:
     def test_9_two_column_verdicts(self):
+        # the registry defaults at sigma = 1, as configs/kernel_dilemma.yaml resolves
         result = kernel_dilemma(
             GaussianKernel(1.0),
             CompactSupportKernel(1.0, 1.0),
             PhysicsParams.scaled(),
+            grid=Grid1D(-16.0, 16.0, 2048),
+            separation=4.0,
+            packet_width=0.125,
+            regrow_dt=0.1,
             seed=3,
         )
         gauss = result.summary["gaussian"]

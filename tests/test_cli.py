@@ -14,7 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grwlab import cli
-from grwlab.cli import _format_column, list_scenarios, main, resolve_config, run, write_outputs
+from grwlab.cli import (
+    _format_column,
+    dispatch,
+    list_scenarios,
+    main,
+    resolve_config,
+    run,
+    write_outputs,
+)
+from grwlab.collapse import KERNELS
 from grwlab.errors import ConfigError
 from grwlab.scenarios import SCENARIOS, ScenarioResult, Series
 
@@ -47,6 +56,11 @@ OUT_OF_BOUNDS_CONFIGS = {
     "n_points_1e8": (
         "scenario: wallace_displacement\ngrid: {n_points: 100000000}\n", "grid.n_points"
     ),
+    # a physics field or a grid that the scenario does not read
+    "billiard_kernel": (
+        "scenario: billiard_collision\nphysics: {kernel: ideal}\n", "physics.kernel"
+    ),
+    "chain_grid": ("scenario: measurement_chain\ngrid: {n_points: 8}\n", "config.grid"),
 }
 
 
@@ -394,7 +408,7 @@ class TestResolveConfig:
         assert config["grid"]["n_points"] == 2048
 
     def test_units_override(self):
-        config = resolve_config({"scenario": "billiard_collision"}, units_override="si")
+        config = resolve_config({"scenario": "measurement_chain"}, units_override="si")
         assert config["units"] == "si"
         assert config["physics"]["lam"] == 1e-16
         assert config["physics"]["sigma"] == 1e-5
@@ -448,6 +462,42 @@ class TestResolveConfig:
         a = complex(*config["params"]["a"])
         b = complex(*config["params"]["b"])
         assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
+class ReadRecorder(dict):
+    """A config block that records which of its keys are read."""
+
+    def __init__(self, block):
+        super().__init__(block)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def physics_cases():
+    """Each scenario in both unit modes, and each kernel where one is read."""
+    for scenario, spec in sorted(SCENARIOS.items()):
+        for units in ("scaled", "si"):
+            for kernel in sorted(KERNELS) if "kernel" in spec.physics else [None]:
+                yield scenario, units, kernel
+
+
+@pytest.mark.parametrize("scenario, units, kernel", list(physics_cases()))
+def test_dispatch_reads_exactly_the_resolved_physics(scenario, units, kernel):
+    raw = {"scenario": scenario, "units": units}
+    if kernel is not None:
+        raw["physics"] = {"kernel": kernel}
+    config = resolve_config(raw)
+    config["physics"] = physics = ReadRecorder(config["physics"])
+    dispatch(config)
+    assert physics.read == set(physics) == set(SCENARIOS[scenario].physics)
+    assert (config["grid"] is None) == (SCENARIOS[scenario].grid is None)
 
 
 class TestCliEntry:

@@ -183,7 +183,6 @@ class TestMarbleInBox:
             box=(-2.0, 2.0),
             q=0.1,
             kernel=GaussianKernel(1.0),
-            params=params,
             seed=2,
         )
         assert result.summary["matter_fraction_outside"] == pytest.approx(0.05, abs=1e-9)
@@ -197,7 +196,6 @@ class TestMarbleInBox:
                 box=(-2.0, 2.0),
                 q=q,
                 kernel=GaussianKernel(1.0),
-                params=params,
                 seed=2,
             )
             assert result.summary["fuzzy_link"]["verdict"] == "indeterminate"
@@ -208,7 +206,6 @@ class TestMarbleInBox:
             box=(-2.0, 2.0),
             q=0.1,
             kernel=GaussianKernel(1.0),
-            params=params,
             seed=2,
         )
         assert result.summary["isomorphism_inside_vs_outside"] == pytest.approx(
@@ -221,7 +218,6 @@ class TestMarbleInBox:
             box=(-2.0, 2.0),
             q=0.1,
             kernel=GaussianKernel(1.0),
-            params=params,
             seed=2,
         )
         post = result.summary["post_hit"]
@@ -230,11 +226,11 @@ class TestMarbleInBox:
         else:
             assert post["matter_fraction_outside"] > 0.95
 
-    def test_input_validation(self, params):
+    def test_input_validation(self):
         with pytest.raises(ValueError):
-            marble_in_box(1.5, (-2.0, 2.0), 0.1, GaussianKernel(1.0), params, 0)
+            marble_in_box(1.5, (-2.0, 2.0), 0.1, GaussianKernel(1.0), 0)
         with pytest.raises(ValueError):
-            marble_in_box(0.9, (2.0, -2.0), 0.1, GaussianKernel(1.0), params, 0)
+            marble_in_box(0.9, (2.0, -2.0), 0.1, GaussianKernel(1.0), 0)
 
 
 class TestBilliardCollision:
@@ -336,14 +332,16 @@ class TestHegerfeldtRegrowth:
             hegerfeldt_regrowth(1.0, [0.0, -0.1], params, grid)
 
 
+def dilemma(kernel_a, kernel_b, params, seed):
+    """kernel_dilemma with the registry defaults at sigma = 1: a (-16, 16) box
+    of 2048 points, separation 4, packet width 1/8 and regrow_dt 0.1."""
+    grid = Grid1D(-16.0, 16.0, 2048)
+    return kernel_dilemma(kernel_a, kernel_b, params, grid, 4.0, 0.125, 0.1, seed)
+
+
 class TestKernelDilemma:
     def test_two_column_tradeoff(self, params):
-        result = kernel_dilemma(
-            GaussianKernel(1.0),
-            CompactSupportKernel(1.0, 1.0),
-            params,
-            seed=3,
-        )
+        result = dilemma(GaussianKernel(1.0), CompactSupportKernel(1.0, 1.0), params, seed=3)
         gauss = result.summary["gaussian"]
         compact = result.summary["compact_support"]
         assert gauss["post_hit_tail_weight"] > 0.0
@@ -356,19 +354,18 @@ class TestKernelDilemma:
 
     def test_deterministic_per_seed(self, params):
         def run(seed):
-            return kernel_dilemma(
-                GaussianKernel(1.0), CompactSupportKernel(1.0, 1.0), params, seed=seed
+            return dilemma(
+                GaussianKernel(1.0), CompactSupportKernel(1.0, 1.0), params, seed
             ).summary
 
         assert run(9) == run(9)
 
     def test_kernel_types_enforced(self, params):
-        with pytest.raises(TypeError):
-            kernel_dilemma(
-                CompactSupportKernel(1.0, 1.0), CompactSupportKernel(1.0, 1.0), params
-            )
-        with pytest.raises(TypeError):
-            kernel_dilemma(GaussianKernel(1.0), GaussianKernel(1.0), params)
+        compact = CompactSupportKernel(1.0, 1.0)
+        with pytest.raises(TypeError, match="kernel_a"):
+            dilemma(compact, compact, params, 0)
+        with pytest.raises(TypeError, match="kernel_b"):
+            dilemma(GaussianKernel(1.0), GaussianKernel(1.0), params, 0)
 
 
 def test_six_scenarios_catalogued():
