@@ -47,12 +47,13 @@ from .ontology import (
     region_fraction,
     tail_mass,
 )
-from .propagator import boundary_density, evolve_free
+from .propagator import BOUNDARY_DENSITY_LIMIT, boundary_density, evolve_free
 from .state import (
     NORM_TOL,
     BranchedState,
     Grid1D,
     PhysicsParams,
+    WaveFunction1D,
     gaussian_packet,
     mod_square_density,
     superposition,
@@ -101,6 +102,19 @@ def _cyclic_window(density: np.ndarray, grid: Grid1D, center: float, half_cells:
     i = grid.nearest_index(center)
     idx = np.arange(i - half_cells, i + half_cells + 1) % grid.n_points
     return density[idx]
+
+
+def _evolve_free_in_box(psi: WaveFunction1D, params: PhysicsParams, dt: float) -> WaveFunction1D:
+    """Free evolution by dt that raises BoundaryContamination, rather than
+    return a state whose density reaches the periodic box's edges."""
+    evolved = evolve_free(psi, params, dt)
+    leaked = boundary_density(evolved)
+    if leaked > BOUNDARY_DENSITY_LIMIT:
+        raise BoundaryContamination(
+            f"density {leaked:.3e} at the box edges after dt = {dt}; "
+            "the packet no longer fits well inside the box"
+        )
+    return evolved
 
 
 def measurement_chain(
@@ -455,13 +469,7 @@ def hegerfeldt_regrowth(
 
     rows = []
     for dt in dt_list:
-        evolved = evolve_free(truncated, params, dt)
-        leaked = boundary_density(evolved)
-        if leaked > 1e-6:
-            raise BoundaryContamination(
-                f"density {leaked:.3e} at the box edges after dt = {dt}; "
-                "the packet no longer fits well inside the box"
-            )
+        evolved = _evolve_free_in_box(truncated, params, dt)
         rows.append([float(dt), tail_mass(evolved, support)])
 
     positive = sorted((dt, tm) for dt, tm in rows if dt > 0)
@@ -550,7 +558,7 @@ def kernel_dilemma(
     def column_compact() -> dict:
         post = apply_hit(psi, z, kernel_b)
         tail0 = tail_mass(post, center_region)
-        regrown = evolve_free(post, params, regrow_dt)
+        regrown = _evolve_free_in_box(post, params, regrow_dt)
         rho = mod_square_density(regrown)
         window_mass = tail_mass(regrown, (z - kernel_b.window, z + kernel_b.window))
         tail_after = tail_mass(regrown, center_region)
@@ -672,8 +680,15 @@ POSITIVE = (lambda v: v > 0, "must be positive")
 # marble_in_box renders on [lo - 1.5 span, hi + 1.5 span) with bumps of
 # width span / 16.  Within these spans its bump exponents (d / width)^2,
 # |d| <= 2 span, and the squared profile norms that isomorphism_score takes
-# (about 10^3 / span^2) stay finite normal floats.
-_BOX_SPAN = (lambda box: 1e-150 <= box[1] - box[0] <= 1e150, "hi - lo must be in [1e-150, 1e150]")
+# (about 10^3 / span^2) stay finite normal floats.  Far from the origin the
+# render grid's spacing, span / 256, falls below the float spacing of its
+# coordinates; the first wrong verdict was seen at |lo| / span = 1e11
+# (README), and the bound on max(|lo|, |hi|) keeps 1000x below that.
+_BOX_SPAN = (
+    lambda box: 1e-150 <= box[1] - box[0] <= 1e150
+    and max(abs(box[0]), abs(box[1])) <= 1e8 * (box[1] - box[0]),
+    "hi - lo must be in [1e-150, 1e150] and at least max(|lo|, |hi|) / 1e8",
+)
 # measurement_chain's sizes: its arrays grow with both, and one CLI run at
 # both caps peaks near 110 MiB RSS (README)
 _ENSEMBLE_SIZE = (lambda n: 1 <= n <= 10**6, "must be in [1, 10^6]")
@@ -820,6 +835,13 @@ def _resolves_widths(grid: dict, widths: dict[str, float]) -> None:
         )
 
 
+def _free_width(width: float, dt: float, physics: dict) -> float:
+    """Width of a free Gaussian packet of width w after time t:
+    w sqrt(1 + (hbar t / 2 m w^2)^2)."""
+    spread = physics["hbar"] * dt / (2.0 * physics["mass"] * width) / width
+    return width * math.hypot(1.0, spread)
+
+
 def _dilemma_fits_grid(params: dict, physics: dict, grid: dict) -> None:
     half = params["separation"] / 2.0
     if physics["window"] >= half:
@@ -827,14 +849,29 @@ def _dilemma_fits_grid(params: dict, physics: dict, grid: dict) -> None:
             f"physics.window: must be smaller than params.separation / 2 = {half}, "
             f"got {physics['window']}"
         )
-    # the second packet must lie inside the periodic box with its tails
-    # (5 widths: mod-square density down by exp(-12.5))
-    margin = 5.0 * params["packet_width"]
-    lo, hi = grid["x_min"] + margin, grid["x_max"] - margin
+    # Both packets, at 0 and at separation, must lie inside the periodic box
+    # with their tails (5 widths: mod-square density down by exp(-12.5)),
+    # both at the hit and after free evolution for regrow_dt.
+    width = params["packet_width"]
+    lo, hi = grid["x_min"] + 5.0 * width, grid["x_max"] - 5.0 * width
+    if not lo <= 0.0 < hi:
+        raise ConfigError(
+            "grid.x_min/x_max: the packet at 0 must lie 5 packet widths inside the "
+            f"grid, which needs x_min <= {-5.0 * width} and x_max > {5.0 * width}; "
+            f"got [{grid['x_min']}, {grid['x_max']})"
+        )
     if not lo <= params["separation"] < hi:
         raise ConfigError(
             "params.separation: the packet there must lie 5 packet widths inside the "
             f"grid, in [{lo}, {hi}), got {params['separation']}"
+        )
+    free_width = _free_width(width, params["regrow_dt"], physics)
+    lo, hi = grid["x_min"] + 5.0 * free_width, grid["x_max"] - 5.0 * free_width
+    if not (lo <= 0.0 and params["separation"] < hi):
+        raise ConfigError(
+            f"params.regrow_dt: at regrow_dt = {params['regrow_dt']} the free packet width "
+            f"w sqrt(1 + (hbar t / 2 m w^2)^2) is {free_width:.6g}; both packets, at 0 and at "
+            f"params.separation, must keep 5 of them inside [grid.x_min, grid.x_max)"
         )
     # the Gaussian column's far lobe, as for wallace_displacement
     _tail_lobe_survives(
@@ -865,8 +902,7 @@ def _regrowth_resolves(params: dict, physics: dict, grid: dict) -> None:
             f"the box, {half}; need window <= {half - 5.0 * sigma}, got {params['window']}"
         )
     dt = max(params["dt_list"])
-    spread = physics["hbar"] * dt / (2.0 * physics["mass"] * sigma) / sigma
-    free_width = sigma * math.hypot(1.0, spread)
+    free_width = _free_width(sigma, dt, physics)
     if not 5.0 * free_width <= half:
         raise ConfigError(
             f"params.dt_list: at the largest dt, {dt}, the free packet width "

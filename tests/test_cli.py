@@ -61,6 +61,20 @@ OUT_OF_BOUNDS_CONFIGS = {
         "scenario: billiard_collision\nphysics: {kernel: ideal}\n", "physics.kernel"
     ),
     "chain_grid": ("scenario: measurement_chain\ngrid: {n_points: 8}\n", "config.grid"),
+    # the packet at 0 lies outside the box
+    "dilemma_box_1_40": (
+        "scenario: kernel_dilemma\ngrid: {x_min: 1.0, x_max: 40.0, n_points: 4096}\n",
+        "grid.x_min/x_max",
+    ),
+    # the regrown packets spread over the box edges
+    "dilemma_regrow_dt_1e6": (
+        "scenario: kernel_dilemma\nparams: {regrow_dt: 1.0e+6}\n", "params.regrow_dt"
+    ),
+    # the render grid's spacing is below the float spacing of its coordinates
+    "marble_box_far": (
+        "scenario: marble_in_box\nparams: {box: [1.0e+17, 1.0000000000000004e+17]}\n",
+        "params.box",
+    ),
 }
 
 
@@ -246,7 +260,10 @@ class TestRun:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("box", [[0.0, 1e-150], [-1e150, 0.0]])
+    # the spans at their bounds, and max(|lo|, |hi|) = 1e8 span
+    @pytest.mark.parametrize(
+        "box", [[0.0, 1e-150], [-1e150, 0.0], [399999996.0, 4e8], [-4e14, -399999996e6]]
+    )
     def test_marble_box_at_the_span_bounds_passes(self, tmp_path, box):
         config = write_config(
             tmp_path / "marble.yaml",

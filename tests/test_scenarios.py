@@ -367,6 +367,13 @@ class TestKernelDilemma:
         with pytest.raises(TypeError, match="kernel_b"):
             dilemma(GaussianKernel(1.0), GaussianKernel(1.0), params, 0)
 
+    def test_regrowth_reaching_the_edges_escalates(self, params):
+        # a long regrowth in the default box: the packets spread over the edges
+        grid = Grid1D(-16.0, 16.0, 2048)
+        kernel_b = CompactSupportKernel(1.0, 1.0)
+        with pytest.raises(BoundaryContamination):
+            kernel_dilemma(GaussianKernel(1.0), kernel_b, params, grid, 4.0, 0.125, 1.0e6, 3)
+
 
 def test_six_scenarios_catalogued():
     assert len(SCENARIOS) == 6
