@@ -763,13 +763,13 @@ def _kernel(physics: dict) -> CollapseKernel:
     return KERNELS[physics["kernel"]](physics["sigma"], physics["window"])
 
 
-def _amplitudes_close(params: dict, physics: dict, grid: dict) -> None:
+def _amplitudes_close(params: dict, physics: dict, grid: None) -> None:
     closure = abs(complex(*params["a"])) ** 2 + abs(complex(*params["b"])) ** 2
     if abs(closure - 1.0) > 1e-9:
         raise ConfigError(f"params.a/b: |a|^2 + |b|^2 = {closure!r}, must equal 1")
 
 
-def _chain_fits_floats(params: dict, physics: dict, grid: dict) -> None:
+def _chain_fits_floats(params: dict, physics: dict, grid: None) -> None:
     _amplitudes_close(params, physics, grid)
     # A trial waits at most 53 ln 2 / rate (its uniform has 53 bits); the
     # summed waits of all trials, and so their mean, must stay finite.
