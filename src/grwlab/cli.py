@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,13 @@ def resolve_config(
 
     unit_defaults = PhysicsParams.scaled(lam=1e-3) if units == "scaled" else PhysicsParams.si()
     physics_fields = {key: _PHYSICS_FIELDS[key] for key in spec.physics}
-    physics = resolve_fields(raw.get("physics") or {}, "physics", physics_fields, unit_defaults)
+    section = raw.get("physics") or {}
+    if "kernel" in physics_fields and isinstance(section, dict):
+        # the kernel's fields join the physics fields; a falsy name fails below
+        kernel = physics_fields["kernel"]
+        name = kernel.parse("physics.kernel", section.get("kernel") or kernel.default)
+        physics_fields |= {f.name: _PHYSICS_FIELDS[f.name] for f in fields(KERNELS[name])}
+    physics = resolve_fields(section, "physics", physics_fields, unit_defaults)
 
     grid = None
     if spec.grid is not None:

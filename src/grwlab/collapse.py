@@ -178,11 +178,11 @@ class IdealKernel:
 
 CollapseKernel = GaussianKernel | CompactSupportKernel | IdealKernel
 
-# physics.kernel names and their constructors from (sigma, window)
+# physics.kernel names and classes; a kernel's fields are the physics fields it reads
 KERNELS = {
-    "gaussian": lambda sigma, window: GaussianKernel(sigma),
+    "gaussian": GaussianKernel,
     "compact_support": CompactSupportKernel,
-    "ideal": lambda sigma, window: IdealKernel(),
+    "ideal": IdealKernel,
 }
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -760,7 +760,8 @@ def _physics_params(ph: dict) -> PhysicsParams:
 
 
 def _kernel(physics: dict) -> CollapseKernel:
-    return KERNELS[physics["kernel"]](physics["sigma"], physics["window"])
+    kernel = KERNELS[physics["kernel"]]
+    return kernel(**{f.name: physics[f.name] for f in fields(kernel)})
 
 
 def _amplitudes_close(params: dict, physics: dict, grid: None) -> None:
@@ -922,7 +923,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
             "n_trials": Field(parse_integer, 10000, _ENSEMBLE_SIZE),
         },
-        physics=("lam", "sigma", "kernel", "window"),
+        physics=("lam", "sigma", "kernel"),
         check=_chain_fits_floats,
         run=lambda p, ph, grid, seed: measurement_chain(
             complex(*p["a"]), complex(*p["b"]), p["n_pointer"], p["separation"],
@@ -939,7 +940,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
                 parse_number, 0.1, (lambda v: 0 < v < 0.5, "must lie in the open interval (0, 0.5)")
             ),
         },
-        physics=("sigma", "kernel", "window"),
+        physics=("kernel",),
         run=lambda p, ph, grid, seed: marble_in_box(
             p["inside_weight"], tuple(p["box"]), p["q"], _kernel(ph), seed
         ),

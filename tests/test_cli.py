@@ -1,5 +1,6 @@
 """Command-line contract: validation, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -505,6 +506,11 @@ def physics_cases():
                 yield scenario, units, kernel
 
 
+def kernel_fields(kernel: str | None) -> set[str]:
+    """The physics fields a kernel reads: its dataclass fields."""
+    return {f.name for f in dataclasses.fields(KERNELS[kernel])} if kernel else set()
+
+
 @pytest.mark.parametrize("scenario, units, kernel", list(physics_cases()))
 def test_dispatch_reads_exactly_the_resolved_physics(scenario, units, kernel):
     raw = {"scenario": scenario, "units": units}
@@ -513,7 +519,8 @@ def test_dispatch_reads_exactly_the_resolved_physics(scenario, units, kernel):
     config = resolve_config(raw)
     config["physics"] = physics = ReadRecorder(config["physics"])
     dispatch(config)
-    assert physics.read == set(physics) == set(SCENARIOS[scenario].physics)
+    expected = set(SCENARIOS[scenario].physics) | kernel_fields(kernel)
+    assert physics.read == set(physics) == expected
     assert (config["grid"] is None) == (SCENARIOS[scenario].grid is None)
 
 
