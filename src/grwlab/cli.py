@@ -25,8 +25,8 @@ from . import __version__
 from .collapse import KERNELS
 from .errors import ConfigError
 from .scenarios import (
+    MAGNITUDE,
     SCENARIOS,
-    POSITIVE,
     Field,
     ScenarioResult,
     parse_integer,
@@ -47,12 +47,12 @@ def _parse_kernel(name: str, value) -> str:
 
 # defaults are read from the unit mode's PhysicsParams
 _PHYSICS_FIELDS = {
-    "hbar": Field(parse_number, lambda d: d.hbar, POSITIVE),
-    "mass": Field(parse_number, lambda d: d.mass, POSITIVE),
-    "lam": Field(parse_number, lambda d: d.lam, POSITIVE),
-    "sigma": Field(parse_number, lambda d: d.sigma, POSITIVE),
+    "hbar": Field(parse_number, lambda d: d.hbar, MAGNITUDE),
+    "mass": Field(parse_number, lambda d: d.mass, MAGNITUDE),
+    "lam": Field(parse_number, lambda d: d.lam, MAGNITUDE),
+    "sigma": Field(parse_number, lambda d: d.sigma, MAGNITUDE),
     "kernel": Field(_parse_kernel, "gaussian"),
-    "window": Field(parse_number, lambda d: d.sigma, POSITIVE),
+    "window": Field(parse_number, lambda d: d.sigma, MAGNITUDE),
 }
 # defaults are read from (half-width, n_points) of the scenario's grid
 _GRID_FIELDS = {

@@ -306,10 +306,11 @@ def sample_center(
 
     Inverse-CDF sampling over p evaluated at the grid points: exact to grid
     resolution and reproducible.  For the ideal kernel p reduces to the
-    mod-square density itself (zero-width limit).
+    mod-square density itself (zero-width limit).  ``size=0`` gives an empty
+    array and consumes no uniform.
     """
     p = kernel.center_density(mod_square_density(psi), psi.grid)
-    centers = psi.grid.points[draw_center_indices(p, rng, size or 1)]
+    centers = psi.grid.points[draw_center_indices(p, rng, 1 if size is None else size)]
     return centers if size is not None else float(centers[0])
 
 

@@ -256,6 +256,8 @@ def energy_expectation(
     )
     if potential is None:
         return kinetic
+    if potential.grid != grid:
+        raise ValueError("potential and state must share one grid")
     return kinetic + float(np.sum(potential.values * mod_square_density(psi)) * grid.dx)
 
 

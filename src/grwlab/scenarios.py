@@ -677,6 +677,9 @@ def _parse_dt_list(name: str, value) -> list[float]:
 
 
 POSITIVE = (lambda v: v > 0, "must be positive")
+# The positive physics numbers and the packet widths: the square of each,
+# and the product of any two, stay finite normal floats.
+MAGNITUDE = (lambda v: 1e-150 <= v <= 1e150, "must be in [1e-150, 1e150]")
 # marble_in_box renders on [lo - 1.5 span, hi + 1.5 span) with bumps of
 # width span / 16.  Within these spans its bump exponents (d / width)^2,
 # |d| <= 2 span, and the squared profile norms that isomorphism_score takes
@@ -740,8 +743,10 @@ def resolve_fields(section, where: str, fields: dict[str, Field], context) -> di
 class ScenarioSpec:
     """Everything the command line knows about one scenario.
 
-    ``physics``: the only physics fields accepted, those that ``run``, the
-    ``fields`` defaults and ``check`` read.  ``grid``: the default grid,
+    ``physics``: the physics fields that ``run``, the ``fields`` defaults and
+    ``check`` read whatever the kernel.  Where it holds "kernel", the
+    configured kernel's dataclass fields (``collapse.KERNELS``) are accepted
+    too, and no other physics field is.  ``grid``: the default grid,
     (half-width in units of sigma, n_points) centred on zero, or None for no
     grid.  ``check(params, physics, grid)`` raises ConfigError for rules that
     span fields; ``run(params, physics, grid, seed)`` calls the scenario.
@@ -812,7 +817,8 @@ def _tail_lobe_survives(name: str, distance: float, sigma: float, s: float) -> N
     exp(-distance^2 / (2 (sigma^2 + s^2))) / sqrt(2 pi s^2).  The structure
     score squares the lobe: below a normal float the lobe's l2 norm is 0 and
     its argmax meaningless."""
-    suppression = distance**2 / (2.0 * (sigma**2 + s**2))
+    # a product, not a power: a distance past 1e154 overflows to inf, not an error
+    suppression = distance * distance / (2.0 * (sigma**2 + s**2))
     limit = -0.5 * math.log(sys.float_info.min) - 0.5 * math.log(2.0 * math.pi * s**2)
     if suppression > limit:
         raise ConfigError(
@@ -829,10 +835,11 @@ def _resolves_widths(grid: dict, widths: dict[str, float]) -> None:
     length = grid["x_max"] - grid["x_min"]
     dx = length / grid["n_points"]
     if dx > 0.5 * width:
+        need = 2.0 * length / width
+        fix = f"n_points >= {math.ceil(need)}" if need <= 2**20 else "a shorter grid"
         raise ConfigError(
             f"grid.n_points: the spacing dx = {dx:.6g} must be at most half the smallest "
-            f"width in play ({name} = {width}); need n_points >= "
-            f"{math.ceil(2.0 * length / width)}, got {grid['n_points']}"
+            f"width in play ({name} = {width}); need {fix}, got {grid['n_points']}"
         )
 
 
@@ -961,7 +968,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         fields={
             "x": Field(parse_number, 0.0),
             "y": Field(parse_number, lambda ph: 10.0 * ph["sigma"]),
-            "s": Field(parse_number, lambda ph: ph["sigma"], POSITIVE),
+            "s": Field(parse_number, lambda ph: ph["sigma"], MAGNITUDE),
         },
         physics=("sigma",),
         check=_centers_in_box,
@@ -974,7 +981,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         description="instantaneous tail regrowth of a compact-truncated packet "
         "under free unitary evolution",
         fields={
-            "window": Field(parse_number, lambda ph: ph["sigma"], POSITIVE),
+            "window": Field(parse_number, lambda ph: ph["sigma"], MAGNITUDE),
             # in units of the packet dispersion scale m sigma^2 / hbar
             "dt_list": Field(
                 _parse_dt_list,
@@ -996,7 +1003,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         "structured tail vs exact truncation plus structureless regrowth",
         fields={
             "separation": Field(parse_number, lambda ph: 4.0 * ph["sigma"], POSITIVE),
-            "packet_width": Field(parse_number, lambda ph: ph["sigma"] / 8.0, POSITIVE),
+            "packet_width": Field(parse_number, lambda ph: ph["sigma"] / 8.0, MAGNITUDE),
             # 0.1 in units of the packet dispersion scale m sigma^2 / hbar
             "regrow_dt": Field(
                 parse_number, lambda ph: 0.1 * ph["mass"] * ph["sigma"] ** 2 / ph["hbar"], POSITIVE

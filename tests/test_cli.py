@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -75,6 +76,34 @@ OUT_OF_BOUNDS_CONFIGS = {
     "marble_box_far": (
         "scenario: marble_in_box\nparams: {box: [1.0e+17, 1.0000000000000004e+17]}\n",
         "params.box",
+    ),
+    # a physics field that the configured kernel does not read
+    "chain_window_gaussian": (
+        "scenario: measurement_chain\nphysics: {window: 5.0}\n", "physics.window"
+    ),
+    "marble_sigma_ideal": (
+        "scenario: marble_in_box\nphysics: {kernel: ideal, sigma: 3.0}\n", "physics.sigma"
+    ),
+    # magnitudes whose squares overflow or underflow
+    "chain_sigma_1e300": (
+        "scenario: measurement_chain\nphysics: {sigma: 1.0e+300}\n", "physics.sigma"
+    ),
+    "chain_sigma_1e-300": (
+        "scenario: measurement_chain\nphysics: {lam: 2, sigma: 1.0e-300}\n"
+        "params: {separation: 8.0}\n",
+        "physics.sigma",
+    ),
+    "wallace_sigma_1e300": (
+        "scenario: wallace_displacement\nphysics: {sigma: 1.0e+300}\n", "physics.sigma"
+    ),
+    "wallace_sigma_1e-300": (
+        "scenario: wallace_displacement\nphysics: {sigma: 1.0e-300}\n", "physics.sigma"
+    ),
+    "wallace_s_1e-300": ("scenario: wallace_displacement\nparams: {s: 1.0e-300}\n", "params.s"),
+    "wallace_sigma_1e-305_long_grid": (
+        "scenario: wallace_displacement\nunits: si\nphysics: {sigma: 1.0e-305}\n"
+        "params: {s: 1.0e-7}\ngrid: {x_min: -3.2e+296, x_max: 2}\n",
+        "physics.sigma",
     ),
 }
 
@@ -238,6 +267,22 @@ class TestRun:
             # dx = 8 physics.sigma, and dx = 16 params.s
             ("wallace_displacement", {"grid": {"n_points": 8}}, "grid.n_points"),
             ("wallace_displacement", {"params": {"s": 0.001}}, "grid.n_points"),
+            # no n_points up to the cap resolves the width: 2 length / width overflows
+            (
+                "wallace_displacement",
+                {
+                    "physics": {"sigma": 1e-150},
+                    "params": {"s": 1e-7},
+                    "grid": {"x_min": -3.2e296, "x_max": 2.0},
+                },
+                "grid.n_points",
+            ),
+            # the squared distance between the centres overflows
+            (
+                "wallace_displacement",
+                {"grid": {"x_min": -1e200, "x_max": 1e200}, "params": {"y": 1e199}},
+                "params.x/y",
+            ),
         ],
     )
     def test_cross_field_violation_exits_one_naming_field(
@@ -273,6 +318,20 @@ class TestRun:
         assert run(config) == 0
         summary = json.loads((tmp_path / "out" / "summary.marble_in_box.json").read_text())
         assert all(summary["result"]["verdicts"].values())
+
+    @pytest.mark.parametrize("scenario", ["measurement_chain", "marble_in_box"])
+    def test_compact_window_is_read_and_recorded(self, tmp_path, scenario):
+        config = write_config(
+            tmp_path / "compact.yaml",
+            {
+                "scenario": scenario,
+                "out_dir": str(tmp_path / "out"),
+                "physics": {"kernel": "compact_support", "window": 2.0},
+            },
+        )
+        assert run(config) == 0
+        payload = json.loads((tmp_path / "out" / f"summary.{scenario}.json").read_text())
+        assert payload["config"]["physics"]["window"] == 2.0
 
     def test_summary_is_strict_json_when_a_weight_vanishes(self, tmp_path):
         # q = |b|^2 = 0 leaves no finite dominance ratio; JSON has no Infinity
@@ -522,6 +581,54 @@ def test_dispatch_reads_exactly_the_resolved_physics(scenario, units, kernel):
     expected = set(SCENARIOS[scenario].physics) | kernel_fields(kernel)
     assert physics.read == set(physics) == expected
     assert (config["grid"] is None) == (SCENARIOS[scenario].grid is None)
+
+
+# the physics keys that measurement_chain or marble_in_box could be given
+PHYSICS_NUMBERS = ("hbar", "mass", "lam", "sigma", "window")
+
+
+@st.composite
+def kernel_physics_blocks(draw):
+    """A physics block for a scenario that reads a kernel: an optional kernel
+    and a subset of the numeric keys, each at its unit default times 0.5, 1
+    or 2."""
+    scenario = draw(st.sampled_from(["measurement_chain", "marble_in_box"]))
+    units = draw(st.sampled_from(["scaled", "si"]))
+    # the unit defaults: kernel_dilemma reads hbar, mass, sigma and window
+    defaults = resolve_config({"scenario": "kernel_dilemma", "units": units})["physics"]
+    defaults |= resolve_config({"scenario": "measurement_chain", "units": units})["physics"]
+    block = {}
+    kernel = draw(st.sampled_from([None, *sorted(KERNELS)]))
+    if kernel is not None:
+        block["kernel"] = kernel
+    for key in draw(st.lists(st.sampled_from(PHYSICS_NUMBERS), unique=True)):
+        block[key] = defaults[key] * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return scenario, units, block
+
+
+@settings(deadline=None)
+@given(case=kernel_physics_blocks())
+@example(case=("measurement_chain", "scaled", {"window": 5.0}))
+@example(case=("marble_in_box", "scaled", {"kernel": "ideal", "sigma": 3.0}))
+def test_kernel_physics_block_resolves_to_what_dispatch_reads(case):
+    scenario, units, block = case
+    raw = {"scenario": scenario, "units": units, "physics": block}
+    if scenario == "measurement_chain":
+        raw["params"] = {"n_trials": 20}
+    allowed = set(SCENARIOS[scenario].physics) | kernel_fields(block.get("kernel", "gaussian"))
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        with pytest.raises(ConfigError, match=rf"^physics\.{unknown[0]}\b.*unknown key"):
+            resolve_config(raw)
+        return
+    try:
+        config = resolve_config(raw)
+    except ConfigError as exc:
+        assert re.match(r"^[a-z_]+\.[a-z_/]+: ", str(exc)), exc
+        return
+    config["physics"] = physics = ReadRecorder(config["physics"])
+    dispatch(config)
+    assert physics.read == set(physics) == allowed
 
 
 class TestCliEntry:

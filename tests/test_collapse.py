@@ -125,6 +125,15 @@ class TestSampleCenter:
         assert frequency == pytest.approx(oracle_near_heavy, abs=0.014)
 
 
+    def test_size_zero_draws_no_center(self):
+        grid = Grid1D(-10.0, 10.0, 256)
+        rng = RngStream(12)
+        draws = sample_center(gaussian_packet(grid, 0.0, 1.0), GaussianKernel(1.0), rng, size=0)
+        assert draws.shape == (0,)
+        # no uniform consumed: the next draw is the stream's first
+        assert rng.random() == RngStream(12).random()
+
+
 class TestApplyHit:
     def test_gaussian_hit_tail_weight_matches_fine_grid_oracle(self):
         # oracle: independent multiplication + quadrature on a denser grid

@@ -22,6 +22,7 @@ from grwlab import (
     evolve_free,
     fuzzy_link,
     gaussian_packet,
+    harmonic_potential,
     isomorphism_score,
     matter_density,
     mod_square_density,
@@ -336,6 +337,15 @@ class TestEnergyExpectation:
         assert energy_expectation(psi, params, potential) == pytest.approx(
             kinetic + 2.0, rel=1e-12
         )
+
+    def test_potential_on_another_grid_rejected(self):
+        # same n_points, shifted box: the harmonic well would be read at the
+        # wrong points (energy 115.9 instead of 0.625)
+        params = PhysicsParams.scaled()
+        psi = gaussian_packet(Grid1D(-16.0, 16.0, 256), 0.0, 1.0)
+        potential = harmonic_potential(Grid1D(0.0, 32.0, 256), params, 1.0)
+        with pytest.raises(ValueError, match="share one grid"):
+            energy_expectation(psi, params, potential)
 
 
 class TestEnergyGainPerHit:
