@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__
 from .collapse import KERNELS
-from .errors import ConfigError
+from .errors import BoundaryContamination, ConfigError
 from .scenarios import (
     MAGNITUDE,
     SCENARIOS,
@@ -238,6 +238,11 @@ def run(
     try:
         result = dispatch(config)
         paths = write_outputs(result, config, Path(config["out_dir"]))
+    except BoundaryContamination as exc:
+        # the run's exact edge check: the box is too small for this config,
+        # found before anything is written
+        print(f"config error: grid.x_min/x_max: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - any runtime failure maps to exit 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -791,24 +791,34 @@ def _chain_fits_floats(params: dict, physics: dict, grid: None) -> None:
 
 
 def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
-    # The hit at x is periodic and the analytic tail peak is not: both
-    # centres must lie in the box, closer together than half its length.
+    # The hit at x is periodic and the analytic tail peak is not: the centres
+    # must lie closer together than half the box, and both packets in it.
     x, y, lo, hi = params["x"], params["y"], grid["x_min"], grid["x_max"]
     if x == y:
         raise ConfigError("params.x/y: x and y must differ")
-    for key in ("x", "y"):
-        if not lo <= params[key] < hi:
-            raise ConfigError(
-                f"params.{key}: must lie in [grid.x_min, grid.x_max) = [{lo}, {hi}), "
-                f"got {params[key]}"
-            )
     if abs(y - x) >= 0.5 * (hi - lo):
         raise ConfigError(
             "params.x/y: |y - x| must be less than half the grid length "
             f"({0.5 * (hi - lo)}), got {abs(y - x)}"
         )
     _tail_lobe_survives("params.x/y", y - x, physics["sigma"], params["s"])
+    for key in ("x", "y"):
+        _keeps_inside(f"params.{key}", grid, [params[key]], params["s"])
     _resolves_widths(grid, {"physics.sigma": physics["sigma"], "params.s": params["s"]})
+
+
+def _keeps_inside(name: str, grid: dict, centers: list[float], width: float) -> None:
+    """Each centre keeps 5 widths (mod-square density down by exp(-12.5))
+    inside the periodic box [grid.x_min, grid.x_max).  A rule of thumb: the
+    run's exact edge check (``_evolve_free_in_box``) has the last word."""
+    lo, hi = grid["x_min"] + 5.0 * width, grid["x_max"] - 5.0 * width
+    for center in centers:
+        if not lo <= center < hi:
+            raise ConfigError(
+                f"{name}: a packet centred at {center} must keep 5 widths ({width:.6g} each) "
+                f"inside [grid.x_min, grid.x_max) = [{grid['x_min']}, {grid['x_max']}), "
+                f"so its centre must lie in [{lo}, {hi})"
+            )
 
 
 def _tail_lobe_survives(name: str, distance: float, sigma: float, s: float) -> None:
@@ -845,78 +855,36 @@ def _resolves_widths(grid: dict, widths: dict[str, float]) -> None:
 
 def _free_width(width: float, dt: float, physics: dict) -> float:
     """Width of a free Gaussian packet of width w after time t:
-    w sqrt(1 + (hbar t / 2 m w^2)^2)."""
+    w sqrt(1 + (hbar t / 2 m w^2)^2).  Keeping 5 of them inside the box also
+    bounds t, and so keeps the kinetic phase hbar k^2 t / 2 m finite."""
     spread = physics["hbar"] * dt / (2.0 * physics["mass"] * width) / width
     return width * math.hypot(1.0, spread)
 
 
 def _dilemma_fits_grid(params: dict, physics: dict, grid: dict) -> None:
-    half = params["separation"] / 2.0
-    if physics["window"] >= half:
+    separation, width, sigma = params["separation"], params["packet_width"], physics["sigma"]
+    if physics["window"] >= separation / 2.0:
         raise ConfigError(
-            f"physics.window: must be smaller than params.separation / 2 = {half}, "
+            f"physics.window: must be smaller than params.separation / 2 = {separation / 2.0}, "
             f"got {physics['window']}"
         )
-    # Both packets, at 0 and at separation, must lie inside the periodic box
-    # with their tails (5 widths: mod-square density down by exp(-12.5)),
-    # both at the hit and after free evolution for regrow_dt.
-    width = params["packet_width"]
-    lo, hi = grid["x_min"] + 5.0 * width, grid["x_max"] - 5.0 * width
-    if not lo <= 0.0 < hi:
-        raise ConfigError(
-            "grid.x_min/x_max: the packet at 0 must lie 5 packet widths inside the "
-            f"grid, which needs x_min <= {-5.0 * width} and x_max > {5.0 * width}; "
-            f"got [{grid['x_min']}, {grid['x_max']})"
-        )
-    if not lo <= params["separation"] < hi:
-        raise ConfigError(
-            "params.separation: the packet there must lie 5 packet widths inside the "
-            f"grid, in [{lo}, {hi}), got {params['separation']}"
-        )
+    _keeps_inside("grid.x_min/x_max", grid, [0.0], width)
+    _keeps_inside("params.separation", grid, [separation], width)
     free_width = _free_width(width, params["regrow_dt"], physics)
-    lo, hi = grid["x_min"] + 5.0 * free_width, grid["x_max"] - 5.0 * free_width
-    if not (lo <= 0.0 and params["separation"] < hi):
-        raise ConfigError(
-            f"params.regrow_dt: at regrow_dt = {params['regrow_dt']} the free packet width "
-            f"w sqrt(1 + (hbar t / 2 m w^2)^2) is {free_width:.6g}; both packets, at 0 and at "
-            f"params.separation, must keep 5 of them inside [grid.x_min, grid.x_max)"
-        )
+    _keeps_inside("params.regrow_dt", grid, [0.0, separation], free_width)
     # the Gaussian column's far lobe, as for wallace_displacement
-    _tail_lobe_survives(
-        "params.separation", params["separation"], physics["sigma"], params["packet_width"]
-    )
-    _resolves_widths(
-        grid, {"physics.sigma": physics["sigma"], "params.packet_width": params["packet_width"]}
-    )
+    _tail_lobe_survives("params.separation", separation, sigma, width)
+    _resolves_widths(grid, {"physics.sigma": sigma, "params.packet_width": width})
 
 
 def _regrowth_resolves(params: dict, physics: dict, grid: dict) -> None:
-    # the packet's width is physics.sigma
-    sigma = physics["sigma"]
+    # the packet's width is physics.sigma; it sits at the box centre
+    sigma, mid = physics["sigma"], 0.5 * (grid["x_min"] + grid["x_max"])
     _resolves_widths(grid, {"physics.sigma": sigma})
-    # The packet sits at the box centre.  It, the window around it and the
-    # free packet at the largest dt each keep 5 widths (mod-square density
-    # down by exp(-12.5)) inside half the box.
-    half = 0.5 * (grid["x_max"] - grid["x_min"])
-    if not 5.0 * sigma <= half:
-        raise ConfigError(
-            f"grid.x_min/x_max: the packet at the box centre and 5 widths (physics.sigma = "
-            f"{sigma}) either side must fit in the box; need a length of at least "
-            f"{10.0 * sigma}, got {2.0 * half}"
-        )
-    if not params["window"] + 5.0 * sigma <= half:
-        raise ConfigError(
-            f"params.window: the window plus 5 packet widths (physics.sigma) must fit in half "
-            f"the box, {half}; need window <= {half - 5.0 * sigma}, got {params['window']}"
-        )
-    dt = max(params["dt_list"])
-    free_width = _free_width(sigma, dt, physics)
-    if not 5.0 * free_width <= half:
-        raise ConfigError(
-            f"params.dt_list: at the largest dt, {dt}, the free packet width "
-            f"sigma sqrt(1 + (hbar dt / 2 m sigma^2)^2) is {free_width:.6g}; 5 of them must "
-            f"fit in half the box, {half}"
-        )
+    _keeps_inside("grid.x_min/x_max", grid, [mid], sigma)
+    _keeps_inside("params.window", grid, [mid - params["window"], mid + params["window"]], sigma)
+    free_width = _free_width(sigma, max(params["dt_list"]), physics)
+    _keeps_inside("params.dt_list", grid, [mid], free_width)
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {

@@ -105,6 +105,25 @@ OUT_OF_BOUNDS_CONFIGS = {
         "params: {s: 1.0e-7}\ngrid: {x_min: -3.2e+296, x_max: 2}\n",
         "physics.sigma",
     ),
+    # the run's exact edge check: the truncated packet's short wavelengths
+    # reach the box edges, though the free packet keeps 5 widths inside
+    "regrowth_dt_1": (
+        "scenario: hegerfeldt_regrowth\nparams: {dt_list: [0.0, 1.0]}\n", "grid.x_min/x_max"
+    ),
+    "regrowth_dt_1_box_8": (
+        "scenario: hegerfeldt_regrowth\ngrid: {x_min: -8.0, x_max: 8.0, n_points: 512}\n"
+        "params: {window: 1.0, dt_list: [0.0, 1.0]}\n",
+        "grid.x_min/x_max",
+    ),
+    "dilemma_window_0.4": (
+        "scenario: kernel_dilemma\nphysics: {window: 0.4}\n", "grid.x_min/x_max"
+    ),
+    # the tail packet at y = 1e-7 is inside the box, the centre x = 0 is not
+    # 5 widths inside it
+    "wallace_x_max_1e-6": (
+        "scenario: wallace_displacement\nparams: {y: 1.0e-7}\ngrid: {x_max: 1.0e-6}\n",
+        "params.x",
+    ),
 }
 
 
@@ -154,19 +173,15 @@ class TestRun:
         assert run(str(tmp_path / "nope.yaml")) == 1
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
-        # tiny box + long evolution: boundary contamination escalates.  The
-        # free packet (width 1.12 at dt = 1) fits the box, but the truncated
-        # packet's short wavelengths reach its edges
+        # a valid config whose output directory cannot be made: its parent
+        # is a regular file
+        (tmp_path / "file").write_text("")
         config = write_config(
-            tmp_path / "contaminated.yaml",
-            {
-                "scenario": "hegerfeldt_regrowth",
-                "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 512},
-                "params": {"window": 1.0, "dt_list": [0.0, 1.0]},
-            },
+            tmp_path / "billiard.yaml",
+            {"scenario": "billiard_collision", "out_dir": str(tmp_path / "file" / "out")},
         )
         assert run(config) == 2
-        assert "BoundaryContamination" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("runtime error: ")
 
     @pytest.mark.parametrize("units", ["scaled", "si"])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -235,7 +250,8 @@ class TestRun:
             ("kernel_dilemma", {"physics": {"window": 3.0}}, "physics.window"),
             ("kernel_dilemma", {"physics": {"window": 2.0}}, "physics.window"),
             ("kernel_dilemma", {"params": {"separation": 1.0}}, "physics.window"),
-            ("wallace_displacement", {"params": {"y": 100}}, "params.y"),
+            # y lies outside the box, and farther than half its length from x
+            ("wallace_displacement", {"params": {"y": 100}}, "params.x/y"),
             ("wallace_displacement", {"params": {"x": -40, "y": -30}}, "params.x"),
             ("wallace_displacement", {"params": {"x": -30, "y": 30}}, "params.x/y"),
             # the hit-suppressed tail lobe underflows to exactly 0
@@ -283,6 +299,8 @@ class TestRun:
                 {"grid": {"x_min": -1e200, "x_max": 1e200}, "params": {"y": 1e199}},
                 "params.x/y",
             ),
+            # y lies inside the box, but not 5 widths (params.s) inside it
+            ("wallace_displacement", {"params": {"y": 30}}, "params.y"),
         ],
     )
     def test_cross_field_violation_exits_one_naming_field(
