@@ -45,22 +45,23 @@ def _parse_kernel(name: str, value) -> str:
     return value
 
 
-# defaults are read from the unit mode's PhysicsParams
+# defaults are read from the unit mode's PhysicsParams, overridden by the
+# fields resolved before them: window follows the configured sigma
 _PHYSICS_FIELDS = {
-    "hbar": Field(parse_number, lambda d: d.hbar, MAGNITUDE),
-    "mass": Field(parse_number, lambda d: d.mass, MAGNITUDE),
-    "lam": Field(parse_number, lambda d: d.lam, MAGNITUDE),
-    "sigma": Field(parse_number, lambda d: d.sigma, MAGNITUDE),
+    "hbar": Field(parse_number, lambda d: d["hbar"], MAGNITUDE),
+    "mass": Field(parse_number, lambda d: d["mass"], MAGNITUDE),
+    "lam": Field(parse_number, lambda d: d["lam"], MAGNITUDE),
+    "sigma": Field(parse_number, lambda d: d["sigma"], MAGNITUDE),
     "kernel": Field(_parse_kernel, "gaussian"),
-    "window": Field(parse_number, lambda d: d.sigma, MAGNITUDE),
+    "window": Field(parse_number, lambda d: d["sigma"], MAGNITUDE),
 }
-# defaults are read from (half-width, n_points) of the scenario's grid
+# defaults are read from the scenario's grid: half_width and n_points
 _GRID_FIELDS = {
-    "x_min": Field(parse_number, lambda g: -g[0]),
-    "x_max": Field(parse_number, lambda g: g[0]),
+    "x_min": Field(parse_number, lambda g: -g["half_width"]),
+    "x_max": Field(parse_number, lambda g: g["half_width"]),
     # one CLI run of the heaviest grid scenario at the cap peaks near 233 MiB RSS (README)
     "n_points": Field(
-        parse_integer, lambda g: g[1], (lambda n: 2 <= n <= 2**20, "must be in [2, 2^20]")
+        parse_integer, lambda g: g["n_points"], (lambda n: 2 <= n <= 2**20, "must be in [2, 2^20]")
     ),
 }
 
@@ -122,11 +123,11 @@ def resolve_config(
         kernel = physics_fields["kernel"]
         name = kernel.parse("physics.kernel", section.get("kernel") or kernel.default)
         physics_fields |= {f.name: _PHYSICS_FIELDS[f.name] for f in fields(KERNELS[name])}
-    physics = resolve_fields(section, "physics", physics_fields, unit_defaults)
+    physics = resolve_fields(section, "physics", physics_fields, vars(unit_defaults))
 
     grid = None
     if spec.grid is not None:
-        grid_default = (spec.grid[0] * physics["sigma"], spec.grid[1])
+        grid_default = {"half_width": spec.grid[0] * physics["sigma"], "n_points": spec.grid[1]}
         grid = resolve_fields(raw.get("grid") or {}, "grid", _GRID_FIELDS, grid_default)
         if grid["x_max"] <= grid["x_min"]:
             raise ConfigError("grid.x_max: must exceed grid.x_min")

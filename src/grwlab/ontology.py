@@ -226,7 +226,9 @@ def displaced_tail_center(
     if tail_width <= 0 or sigma <= 0:
         raise ValueError("tail_width and sigma must be positive")
     s2, g2 = tail_width**2, sigma**2
-    return (tail_center * g2 + collapse_center * s2) / (g2 + s2)
+    # written as a step from y toward x: y sigma^2 would overflow or
+    # underflow long before the result does
+    return tail_center + (collapse_center - tail_center) * (s2 / (g2 + s2))
 
 
 def peak_position(

@@ -152,9 +152,10 @@ def measurement_chain(
     rate = hit_rate(n_pointer, params)
     suppression = float(kernel.amplitude_factor(np.array([separation]))[0])
     f2 = suppression**2
-    # closed-form post-hit tail weight, by which branch was selected
-    tail_if_0 = p1 * f2 / (p0 + p1 * f2)
-    tail_if_1 = p0 * f2 / (p1 + p0 * f2)
+    # closed-form post-hit tail weight, by which branch was selected; null
+    # where the denominator is 0, for a branch of zero weight
+    tail_if_0 = p1 * f2 / (p0 + p1 * f2) if p0 + p1 * f2 > 0 else None
+    tail_if_1 = p0 * f2 / (p1 + p0 * f2) if p1 + p0 * f2 > 0 else None
 
     # One Philox counter block per trial: (wait, hit particle, branch, unused).
     # Every pointer particle of a branch sits at one position, so the hit
@@ -166,22 +167,23 @@ def measurement_chain(
     selected = np.searchsorted(cdf, u[:, 2] * cdf[-1], side="right")
     del u  # the largest array: four doubles a trial, and nothing below reads it
     np.minimum(selected, state.n_branches - 1, out=selected)
-    # The post-hit tail weight depends only on the selected branch.
+    # The post-hit tail weight depends only on the selected branch.  A branch
+    # no trial selects (one of zero weight, say) is skipped.
+    counts = np.bincount(selected, minlength=state.n_branches)
     positions = state.positions[:, 0]
-    tail_by_branch = np.array(
-        [
-            1.0 - (np.abs(branch_hit_weights(state.weights, positions, z, kernel)) ** 2)[k]
-            for k, z in enumerate(positions)
-        ]
-    )
+    tail_by_branch = np.zeros(state.n_branches)
+    for k in np.flatnonzero(counts):
+        weights = branch_hit_weights(state.weights, positions, positions[k], kernel)
+        tail_by_branch[k] = 1.0 - (np.abs(weights) ** 2)[k]
     tails = tail_by_branch[selected]
 
-    frequency_0 = int(np.count_nonzero(selected == 0)) / n_trials
+    frequency_0 = int(counts[0]) / n_trials
     half_width = 3.0 * math.sqrt(p0 * (1.0 - p0) / n_trials)
     mean_hit_time = float(np.mean(times))
     expected_hit_time = 1.0 / rate
     mean_tail = float(np.mean(tails))
-    closed_form = np.where(selected == 0, tail_if_0, tail_if_1)
+    # a null closed form reads as nan, for a branch that no trial selects
+    closed_form = np.array([tail_if_0, tail_if_1], dtype=float)[selected]
     tail_deviation = float(np.max(np.abs(tails - closed_form)))
 
     summary = {
@@ -699,9 +701,10 @@ _ENSEMBLE_SIZE = (lambda n: 1 <= n <= 10**6, "must be in [1, 10^6]")
 
 @dataclass(frozen=True)
 class Field:
-    """One config field.  ``default`` is a value or a function of the
-    section's context (for params, the resolved physics block); ``bound``
-    is a (predicate, message) pair checked on the parsed value."""
+    """One config field.  ``default`` is a value or a function of a dict: the
+    section's context (for params, the resolved physics block) updated with
+    the fields resolved before this one.  ``bound`` is a (predicate,
+    message) pair checked on the parsed value."""
 
     parse: Callable[[str, object], object]
     default: object = None
@@ -730,7 +733,7 @@ def resolve_fields(section, where: str, fields: dict[str, Field], context) -> di
     for key, entry in fields.items():
         name, value = f"{where}.{key}", section.get(key)
         if value is None:
-            value = entry.default_for(context)
+            value = entry.default_for(context | resolved)
         if value is not None:
             value = entry.parse(name, value)
             if entry.bound is not None and not entry.bound[0](value):
@@ -801,7 +804,7 @@ def _centers_in_box(params: dict, physics: dict, grid: dict) -> None:
             "params.x/y: |y - x| must be less than half the grid length "
             f"({0.5 * (hi - lo)}), got {abs(y - x)}"
         )
-    _tail_lobe_survives("params.x/y", y - x, physics["sigma"], params["s"])
+    _tail_lobe_survives("params.x/y", y - x, physics["sigma"] ** 2 + params["s"] ** 2, params["s"])
     for key in ("x", "y"):
         _keeps_inside(f"params.{key}", grid, [params[key]], params["s"])
     _resolves_widths(grid, {"physics.sigma": physics["sigma"], "params.s": params["s"]})
@@ -821,20 +824,18 @@ def _keeps_inside(name: str, grid: dict, centers: list[float], width: float) -> 
             )
 
 
-def _tail_lobe_survives(name: str, distance: float, sigma: float, s: float) -> None:
-    """A Gaussian hit of width sigma at ``distance`` from a packet of width s
-    leaves that packet a lobe of peak density
-    exp(-distance^2 / (2 (sigma^2 + s^2))) / sqrt(2 pi s^2).  The structure
-    score squares the lobe: below a normal float the lobe's l2 norm is 0 and
-    its argmax meaningless."""
+def _tail_lobe_survives(name: str, distance: float, spread2: float, s: float) -> None:
+    """A Gaussian hit leaves a packet of width s, at ``distance`` from the hit,
+    a density of at most exp(-distance^2 / (2 spread2)) / sqrt(2 pi s^2) at the
+    point read.  The structure score squares the lobe: below a normal float
+    the lobe's l2 norm is 0 and its argmax meaningless."""
     # a product, not a power: a distance past 1e154 overflows to inf, not an error
-    suppression = distance * distance / (2.0 * (sigma**2 + s**2))
+    suppression = distance * distance / (2.0 * spread2)
     limit = -0.5 * math.log(sys.float_info.min) - 0.5 * math.log(2.0 * math.pi * s**2)
     if suppression > limit:
         raise ConfigError(
-            f"{name}: the hit suppresses the tail peak by exp(-distance^2 / "
-            f"(2 (sigma^2 + s^2))) = exp(-{suppression:.6g}); its square must be a "
-            f"normal float, so the exponent may be at most {limit:.6g}"
+            f"{name}: the hit suppresses the tail's density by exp(-{suppression:.6g}); "
+            f"its square must be a normal float, so the exponent may be at most {limit:.6g}"
         )
 
 
@@ -872,9 +873,13 @@ def _dilemma_fits_grid(params: dict, physics: dict, grid: dict) -> None:
     _keeps_inside("params.separation", grid, [separation], width)
     free_width = _free_width(width, params["regrow_dt"], physics)
     _keeps_inside("params.regrow_dt", grid, [0.0, separation], free_width)
-    # the Gaussian column's far lobe, as for wallace_displacement
-    _tail_lobe_survives("params.separation", separation, sigma, width)
-    _resolves_widths(grid, {"physics.sigma": sigma, "params.packet_width": width})
+    # The Gaussian column's structure score reads 3 sigma either side of the
+    # far packet's centre, where the hit leaves exp(-separation^2 / (2 sigma^2)).
+    _tail_lobe_survives("params.separation", separation, sigma**2, width)
+    _resolves_widths(
+        grid,
+        {"physics.sigma": sigma, "physics.window": physics["window"], "params.packet_width": width},
+    )
 
 
 def _regrowth_resolves(params: dict, physics: dict, grid: dict) -> None:

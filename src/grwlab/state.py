@@ -14,6 +14,7 @@ construction; operations are pure functions returning new values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,9 @@ from .errors import NonFiniteInputError, NotNormalizedError, ZeroNormError
 
 # Unit-norm tolerance applied after every constructor and state-producing op.
 NORM_TOL = 1e-9
-# Below this mod-square norm a state counts as annihilated.
+# Below this dimensionless mod-square norm (a probability) a state counts
+# as annihilated.  from_samples, whose norm has dimensions, floors at the
+# smallest normal float instead.
 NORM_FLOOR = 1e-30
 
 
@@ -154,9 +157,12 @@ class WaveFunction1D:
         amps = np.asarray(samples, dtype=np.complex128)
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise NonFiniteInputError("samples contain NaN or infinity")
+        # this norm has dimensions (unit-height samples of a packet of width
+        # s have norm^2 sqrt(2 pi) s), so only one below every normal float
+        # counts as zero
         n2 = _norm_squared(amps, grid.dx)
-        if n2 < NORM_FLOOR:
-            raise ZeroNormError(f"norm^2 = {n2!r} below {NORM_FLOOR}")
+        if n2 < sys.float_info.min:
+            raise ZeroNormError(f"norm^2 = {n2!r} below {sys.float_info.min}")
         return cls(grid, amps / np.sqrt(n2))
 
     @property

@@ -276,6 +276,12 @@ class TestDisplacedTailCenter:
     def test_coincident_centers_no_displacement(self):
         assert displaced_tail_center(3.0, 3.0, 0.7, 1.3) == 3.0
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_finite_at_the_magnitude_bounds(self, scale):
+        # y sigma^2 would overflow at 1e150 and underflow at 1e-150
+        u = displaced_tail_center(10.0 * scale, 0.0, scale, scale)
+        assert u == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
     def test_displacement_always_toward_center(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

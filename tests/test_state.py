@@ -74,6 +74,12 @@ class TestNormalize:
         with pytest.raises(ZeroNormError):
             WaveFunction1D.from_samples(grid, np.zeros(grid.n_points))
 
+    @pytest.mark.parametrize("width", [1e-31, 1e-150])
+    def test_narrow_packet_normalizes(self, width):
+        # the dimensional norm^2 of the samples is near width, far below 1e-30
+        grid = Grid1D(-32.0 * width, 32.0 * width, 256)
+        assert gaussian_packet(grid, 0.0, width).norm_squared == pytest.approx(1.0, abs=1e-9)
+
     def test_constructor_rejects_unnormalized(self, grid):
         with pytest.raises(NotNormalizedError):
             WaveFunction1D(grid, np.ones(grid.n_points, dtype=complex))
