@@ -58,22 +58,29 @@ class _SmoothKernel:
         alone.
         """
         # circular convolution: p_j = sum_i K(x_j - x_i) rho_i dx
-        spectrum = np.fft.rfft(rho) * _profile_spectrum(self, grid)
+        spectrum = np.fft.rfft(rho) * _profile_spectrum(self, grid)[0]
         p = np.fft.irfft(spectrum, grid.n_points) * grid.dx
         np.clip(p, 0.0, None, out=p)
         return p
 
 
 @functools.lru_cache(maxsize=8)
-def _profile_spectrum(kernel: _SmoothKernel, grid: Grid1D) -> np.ndarray:
-    """Read-only rfft of the kernel's center_profile at the grid offsets from x_min.
+def _profile_spectrum(kernel: _SmoothKernel, grid: Grid1D) -> tuple[np.ndarray, ...]:
+    """Read-only rffts of the kernel's profiles at the grid offsets from x_min.
 
-    Kernels and grids are frozen and compare by value, so equal pairs share
-    one entry; at most eight pairs are kept.
+    Entry 0 is center_profile's, which center_density reads.  For a kernel
+    with product-rule profiles, entries 1 and 2 are those of g g' and g'^2
+    (g^2 is center_profile, so entry 0 serves both), which
+    ontology.post_hit_energies reads.  Kernels and grids are frozen and
+    compare by value, so equal pairs share one entry; at most eight pairs
+    are kept.
     """
-    spectrum = np.fft.rfft(kernel.center_profile(grid.wrap(grid.points - grid.x_min)))
-    spectrum.setflags(write=False)
-    return spectrum
+    offsets = grid.wrap(grid.points - grid.x_min)
+    profiles = kernel.product_rule_profiles(offsets) or (kernel.center_profile(offsets),)
+    spectra = tuple(np.fft.rfft(profile) for profile in profiles)
+    for spectrum in spectra:
+        spectrum.setflags(write=False)
+    return spectra
 
 
 @dataclass(frozen=True)
@@ -170,10 +177,6 @@ class IdealKernel:
     def center_density(self, rho: np.ndarray, grid: Grid1D) -> np.ndarray:
         # zero-width limit: the center density is the mod-square density
         return rho.copy()
-
-    def product_rule_profiles(self, offsets: np.ndarray) -> None:
-        """None: a one-cell projection has no product rule, so each hit is priced."""
-        return None
 
 
 CollapseKernel = GaussianKernel | CompactSupportKernel | IdealKernel

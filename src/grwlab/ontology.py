@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import CollapseKernel, RngStream, apply_hit, draw_center_indices
+from .collapse import (
+    CollapseKernel,
+    RngStream,
+    _profile_spectrum,
+    _SmoothKernel,
+    apply_hit,
+    draw_center_indices,
+)
 from .errors import (
     DegenerateRegionError,
     MassMismatchError,
@@ -280,13 +287,16 @@ def post_hit_energies(
                               + 2 C(Re(psi* psi'), g g')] / C(rho, g^2)
 
     with C(a, h)(z) = sum_x a(x) h(x - z) dx, psi' the spectral derivative
-    and C(rho, g^2) the center density.  Each correlation is one FFT
-    product, so the cost does not grow with the number of centers.  Any
-    other kernel applies each hit and takes its spectral energy.
+    and C(rho, g^2) the center density.  The profiles' spectra are the
+    (kernel, grid) entry of ``collapse._profile_spectrum`` that
+    center_density also reads, so a call runs the fft/ifft pair of psi',
+    one rfft per real correland and one irfft, whatever the number of
+    centers.  Any other kernel applies each hit and takes its spectral
+    energy.
     """
     grid = psi.grid
-    profiles = kernel.product_rule_profiles(grid.wrap(grid.points - grid.x_min))
-    if profiles is None:
+    spectra = _profile_spectrum(kernel, grid) if isinstance(kernel, _SmoothKernel) else ()
+    if len(spectra) < 3:
         return np.array(
             [
                 energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
@@ -297,15 +307,15 @@ def post_hit_energies(
     if np.any(norms < NORM_FLOOR):
         z = float(grid.points[indices[np.argmin(norms)]])
         raise ZeroNormError(f"hit at z = {z!r} with {kernel.label} annihilated the state")
-    g2, gg, dg2 = profiles
+    g2, gg, dg2 = spectra
     amps = psi.amplitudes
     d_amps = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(amps))
     # circular convolutions with profiles indexed by z - x, as in
     # center_density, summed one term at a time to keep few arrays alive
-    spectrum = np.fft.fft(mod_square_density(psi)) * np.fft.fft(dg2)
-    spectrum += np.fft.fft(np.abs(d_amps) ** 2) * np.fft.fft(g2)
-    spectrum += np.fft.fft(2.0 * (np.conj(amps) * d_amps).real) * np.fft.fft(gg)
-    numerator = np.fft.ifft(spectrum).real
+    spectrum = np.fft.rfft(mod_square_density(psi)) * dg2
+    spectrum += np.fft.rfft(np.abs(d_amps) ** 2) * g2
+    spectrum += np.fft.rfft(2.0 * (np.conj(amps) * d_amps).real) * gg
+    numerator = np.fft.irfft(spectrum, grid.n_points)
     return (params.hbar**2 / (2.0 * params.mass)) * numerator[indices] * grid.dx / norms
 
 
@@ -320,9 +330,11 @@ def energy_gain_per_hit(
 
     Centers are drawn from the center density exactly as ``sample_center``
     draws them.  A GaussianKernel prices all centers at once by the
-    product-rule closed form of ``post_hit_energies`` (a few FFTs, whatever
-    n_trials); the compact-support and ideal kernels, whose jump the
-    product rule misses, apply and price each hit.
+    product-rule closed form of ``post_hit_energies``: on a warm profile
+    cache a call runs 2 fft, 1 ifft, 4 rfft and 2 irfft of length
+    ``psi.grid.n_points``, whatever n_trials.  The compact-support and
+    ideal kernels, whose jump the product rule misses, apply and price
+    each hit.
 
     For a GaussianKernel the Born-averaged gain is hbar^2 / (8 m sigma^2)
     for any state (hbar^2 / (4 m r_C^2) with r_C = sqrt(2) sigma): the mean

@@ -33,7 +33,7 @@ from grwlab import (
     uniform_state,
 )
 from grwlab import ontology
-from grwlab.collapse import draw_center_indices
+from grwlab.collapse import _profile_spectrum, draw_center_indices
 from grwlab.errors import (
     DegenerateRegionError,
     MassMismatchError,
@@ -418,6 +418,8 @@ class TestEnergyGainPerHit:
         assert compact_mean > gaussian_mean > 0
 
     LEDGER_GRID = Grid1D(-32.0, 32.0, 2048)
+    # irfft without n returns n - 1 points on an odd grid
+    ODD_GRID = Grid1D(-32.0, 32.0, 2047)
 
     @pytest.mark.parametrize(
         "psi",
@@ -434,11 +436,12 @@ class TestEnergyGainPerHit:
             ),
             # two sigma from x_max: packet, kernel and correlations wrap
             gaussian_packet(LEDGER_GRID, 30.0, 1.0),
+            gaussian_packet(ODD_GRID, -3.0, 2.0, wavenumber=3.0),
         ],
-        ids=["moving_packet", "unequal_superposition", "near_edge"],
+        ids=["moving_packet", "unequal_superposition", "near_edge", "odd_grid"],
     )
     def test_closed_form_matches_per_hit_energies(self, psi):
-        grid = self.LEDGER_GRID
+        grid = psi.grid
         params = PhysicsParams.scaled()
         kernel = GaussianKernel(1.0)
         density = kernel.center_density(mod_square_density(psi), grid)
@@ -449,6 +452,33 @@ class TestEnergyGainPerHit:
         ]
         closed = post_hit_energies(psi, kernel, params, density, indices)
         np.testing.assert_allclose(closed, per_hit, rtol=1e-12, atol=0.0)
+
+    def test_gaussian_call_runs_a_fixed_transform_budget(self, monkeypatch):
+        # on a warm profile cache: fft/ifft for <H> before and for psi', one
+        # rfft of rho for the center density and one per real correland, one
+        # irfft for the center density and one for the summed numerator
+        grid = self.LEDGER_GRID
+        psi = gaussian_packet(grid, -3.0, 2.0, wavenumber=3.0)
+        kernel, params = GaussianKernel(1.0), PhysicsParams.scaled()
+        energy_gain_per_hit(psi, kernel, params, RngStream(5), 100)
+        spectra = _profile_spectrum(kernel, grid)
+        counts = dict.fromkeys(["fft", "ifft", "rfft", "irfft"], 0)
+
+        def counting(name, transform):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return transform(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        energy_gain_per_hit(psi, kernel, params, RngStream(5), 100)
+        assert counts == {"fft": 2, "ifft": 1, "rfft": 4, "irfft": 2}
+        # the second call read the same read-only entry
+        assert _profile_spectrum(kernel, grid) is spectra
+        assert len(spectra) == 3
+        assert not any(spectrum.flags.writeable for spectrum in spectra)
 
     def test_closed_form_raises_where_the_center_density_vanishes(self):
         # like apply_hit, which raises where the hit annihilates the state

@@ -1,6 +1,6 @@
 """Property tests (Hypothesis) for the grid primitives behind run_grw:
 ``Grid1D.wrap``, Strang ``evolve`` and ``center_density`` with its cached
-profile spectrum."""
+profile spectra."""
 
 import warnings
 
@@ -177,11 +177,12 @@ class TestCenterDensity:
 class TestProfileSpectrumCache:
     def test_cached_spectrum_is_read_only_and_reused(self):
         grid, kernel = Grid1D(-8.0, 8.0, 64), GaussianKernel(1.0)
-        spectrum = _profile_spectrum(kernel, grid)
-        assert _profile_spectrum(kernel, grid) is spectrum
-        assert not spectrum.flags.writeable
-        with pytest.raises(ValueError):
-            spectrum[0] = 0.0
+        spectra = _profile_spectrum(kernel, grid)
+        assert _profile_spectrum(kernel, grid) is spectra
+        for spectrum in spectra:
+            assert not spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                spectrum[0] = 0.0
         assert _profile_spectrum.cache_info().maxsize == 8
 
     @given(
@@ -196,7 +197,13 @@ class TestProfileSpectrumCache:
     def test_distinct_grids_or_kernels_never_share_an_entry(self, bounds, sizes, kernels):
         pairs = [(k, Grid1D(*b, n)) for k, b, n in zip(kernels, bounds, sizes)]
         for kernel, grid in pairs + pairs[::-1]:
-            fresh = np.fft.rfft(kernel.center_profile(grid.wrap(grid.points - grid.x_min)))
-            np.testing.assert_array_equal(_profile_spectrum(kernel, grid), fresh)
+            offsets = grid.wrap(grid.points - grid.x_min)
+            # entry 0 is center_profile's; the product-rule kernel adds g g' and g'^2
+            profiles = kernel.product_rule_profiles(offsets) or (None,)
+            spectra = _profile_spectrum(kernel, grid)
+            assert len(spectra) == len(profiles)
+            np.testing.assert_array_equal(spectra[0], np.fft.rfft(kernel.center_profile(offsets)))
+            for spectrum, profile in zip(spectra[1:], profiles[1:]):
+                np.testing.assert_array_equal(spectrum, np.fft.rfft(profile))
         if pairs[0] != pairs[1]:
             assert _profile_spectrum(*pairs[0]) is not _profile_spectrum(*pairs[1])
