@@ -51,14 +51,17 @@ class _SmoothKernel:
         return psi.amplitudes * self.amplitude_factor(grid.wrap(grid.points - center))
 
     def center_density(self, rho: np.ndarray, grid: Grid1D) -> np.ndarray:
-        """p(z) at the grid points: rho circularly convolved with center_profile.
+        """p(z) at the grid points: rho circularly convolved with center_profile."""
+        return self.center_density_from_spectrum(np.fft.rfft(rho), grid)
 
-        Two real FFTs: the profile's spectrum is cached per (kernel, grid)
-        by ``_profile_spectrum``, so a hit pays for the transforms of rho
-        alone.
+    def center_density_from_spectrum(self, rho_spectrum: np.ndarray, grid: Grid1D) -> np.ndarray:
+        """p(z) from ``np.fft.rfft(rho)``, for a caller that reuses that spectrum.
+
+        One irfft: the profile's spectrum is cached per (kernel, grid) by
+        ``_profile_spectrum``, so a hit pays for the transforms of rho alone.
         """
         # circular convolution: p_j = sum_i K(x_j - x_i) rho_i dx
-        spectrum = np.fft.rfft(rho) * _profile_spectrum(self, grid)[0]
+        spectrum = rho_spectrum * _profile_spectrum(self, grid)[0]
         p = np.fft.irfft(spectrum, grid.n_points) * grid.dx
         np.clip(p, 0.0, None, out=p)
         return p
@@ -68,15 +71,15 @@ class _SmoothKernel:
 def _profile_spectrum(kernel: _SmoothKernel, grid: Grid1D) -> tuple[np.ndarray, ...]:
     """Read-only rffts of the kernel's profiles at the grid offsets from x_min.
 
-    Entry 0 is center_profile's, which center_density reads.  For a kernel
-    with product-rule profiles, entries 1 and 2 are those of g g' and g'^2
-    (g^2 is center_profile, so entry 0 serves both), which
-    ontology.post_hit_energies reads.  Kernels and grids are frozen and
-    compare by value, so equal pairs share one entry; at most eight pairs
-    are kept.
+    Entry 0 is center_profile's (g^2 for the normalized amplitude kernel g),
+    which the center density reads.  For a kernel with a by-parts profile
+    (the Gaussian), entry 1 is that of h = -g g'', which
+    ontology.post_hit_gains reads.  Kernels and grids are frozen and compare
+    by value, so equal pairs share one entry; at most eight pairs are kept.
     """
     offsets = grid.wrap(grid.points - grid.x_min)
-    profiles = kernel.product_rule_profiles(offsets) or (kernel.center_profile(offsets),)
+    h = kernel.by_parts_profile(offsets)
+    profiles = (kernel.center_profile(offsets),) + (() if h is None else (h,))
     spectra = tuple(np.fft.rfft(profile) for profile in profiles)
     for spectrum in spectra:
         spectrum.setflags(write=False)
@@ -110,16 +113,18 @@ class GaussianKernel(_SmoothKernel):
         sigma = self.sigma
         return np.exp(-(offsets**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
 
-    def product_rule_profiles(self, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-        """g^2, g g' and g'^2 at offsets z - x, for the normalized amplitude kernel g.
+    def by_parts_profile(self, offsets: np.ndarray) -> np.ndarray:
+        """h = -g g'' = (1/(2 sigma^2) - u^2/(4 sigma^4)) g^2 at offsets u, for
+        the normalized amplitude kernel g.
 
-        g^2 is center_profile and g' = -(x - z) / (2 sigma^2) g, so every
-        post-hit energy follows from correlations with these three profiles
-        (see ontology.post_hit_energies).
+        By parts on the periodic box, the integral of |(g psi)'|^2 is that of
+        g^2 |psi'|^2 + h rho, so every post-hit energy follows from
+        correlations with g^2 (center_profile) and h (see
+        ontology.post_hit_gains).  The integral of h is 1 / (4 sigma^2): the
+        Born-averaged gain in units of hbar^2 / 2m.
         """
-        g2 = self.center_profile(offsets)
         s2 = self.sigma**2
-        return g2, offsets / (2.0 * s2) * g2, offsets**2 / (4.0 * s2**2) * g2
+        return (0.5 / s2 - offsets**2 / (4.0 * s2**2)) * self.center_profile(offsets)
 
 
 @dataclass(frozen=True)
@@ -154,8 +159,8 @@ class CompactSupportKernel(_SmoothKernel):
         profile = profile * (np.abs(offsets) <= self.window)
         return profile / math.erf(self.window / (self.sigma * math.sqrt(2.0)))
 
-    def product_rule_profiles(self, offsets: np.ndarray) -> None:
-        """None: the jump at the window edge has no product rule, so each hit is priced."""
+    def by_parts_profile(self, offsets: np.ndarray) -> None:
+        """None: the jump at the window edge has no g'', so each hit is priced."""
         return None
 
 

@@ -270,53 +270,52 @@ def energy_expectation(
     return kinetic + float(np.sum(potential.values * mod_square_density(psi)) * grid.dx)
 
 
-def post_hit_energies(
+def post_hit_gains(
     psi: WaveFunction1D,
     kernel: CollapseKernel,
     params: PhysicsParams,
-    density: np.ndarray,
-    indices: np.ndarray,
+    rng: RngStream,
+    n_trials: int,
 ) -> np.ndarray:
-    """Kinetic <H> after a hit centered at each of ``psi.grid.points[indices]``.
+    """Kinetic <H> after a hit minus <H> before, at ``n_trials`` drawn centers.
 
-    ``density`` is ``kernel.center_density`` of psi.  For a kernel with
-    product-rule profiles (the Gaussian), (g psi)' = g' psi + g psi' gives
-    the energy at every grid center z at once:
+    Centers are drawn from the center density exactly as ``sample_center``
+    draws them.  For a kernel with a by-parts profile h = -g g'' (the
+    Gaussian) resolved by the grid (sigma >= 2 dx, the rule of
+    ``scenarios._resolves_widths``), the energy at every center z is
 
-        E(z) = (hbar^2 / 2m) [C(rho, g'^2) + C(|psi'|^2, g^2)
-                              + 2 C(Re(psi* psi'), g g')] / C(rho, g^2)
+        E(z) = (hbar^2 / 2m) [C(|psi'|^2, g^2) + C(rho, h)] / C(rho, g^2)
 
-    with C(a, h)(z) = sum_x a(x) h(x - z) dx, psi' the spectral derivative
+    with C(a, f)(z) = sum_x a(x) f(x - z) dx, psi' the spectral derivative
     and C(rho, g^2) the center density.  The profiles' spectra are the
-    (kernel, grid) entry of ``collapse._profile_spectrum`` that
-    center_density also reads, so a call runs the fft/ifft pair of psi',
-    one rfft per real correland and one irfft, whatever the number of
-    centers.  Any other kernel applies each hit and takes its spectral
-    energy.
+    (kernel, grid) entry of ``collapse._profile_spectrum``, rfft(rho) feeds
+    both correlations with rho and E(before) is (hbar^2 / 2m) sum |psi'|^2 dx,
+    so a call runs 1 fft, 1 ifft, 2 rfft and 2 irfft whatever n_trials.  An
+    unresolved Gaussian, whose closed form drifts from the per-hit energies
+    below about 1.3 dx, and any other kernel apply and price each hit.
     """
     grid = psi.grid
+    rho = mod_square_density(psi)
     spectra = _profile_spectrum(kernel, grid) if isinstance(kernel, _SmoothKernel) else ()
-    if len(spectra) < 3:
-        return np.array(
-            [
-                energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
-                for i in indices
-            ]
-        )
+    if len(spectra) < 2 or kernel.sigma < 2.0 * grid.dx:
+        before = energy_expectation(psi, params)
+        indices = draw_center_indices(kernel.center_density(rho, grid), rng, n_trials)
+        hits = (apply_hit(psi, float(grid.points[i]), kernel) for i in indices)
+        return np.array([energy_expectation(hit, params) for hit in hits]) - before
+    rho_spectrum = np.fft.rfft(rho)
+    density = kernel.center_density_from_spectrum(rho_spectrum, grid)
+    indices = draw_center_indices(density, rng, n_trials)
     norms = density[indices]
     if np.any(norms < NORM_FLOOR):
         z = float(grid.points[indices[np.argmin(norms)]])
         raise ZeroNormError(f"hit at z = {z!r} with {kernel.label} annihilated the state")
-    g2, gg, dg2 = spectra
-    amps = psi.amplitudes
-    d_amps = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(amps))
-    # circular convolutions with profiles indexed by z - x, as in
-    # center_density, summed one term at a time to keep few arrays alive
-    spectrum = np.fft.rfft(mod_square_density(psi)) * dg2
-    spectrum += np.fft.rfft(np.abs(d_amps) ** 2) * g2
-    spectrum += np.fft.rfft(2.0 * (np.conj(amps) * d_amps).real) * gg
+    d_density = np.abs(np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(psi.amplitudes))) ** 2
+    # circular convolutions with profiles indexed by z - x, as in center_density
+    spectrum = np.fft.rfft(d_density) * spectra[0]
+    spectrum += rho_spectrum * spectra[1]
     numerator = np.fft.irfft(spectrum, grid.n_points)
-    return (params.hbar**2 / (2.0 * params.mass)) * numerator[indices] * grid.dx / norms
+    scale = params.hbar**2 / (2.0 * params.mass) * grid.dx
+    return scale * (numerator[indices] / norms - float(np.sum(d_density)))
 
 
 def energy_gain_per_hit(
@@ -328,23 +327,16 @@ def energy_gain_per_hit(
 ) -> tuple[float, float]:
     """Mean and spread of E(after hit) - E(before) over sampled centers.
 
-    Centers are drawn from the center density exactly as ``sample_center``
-    draws them.  A GaussianKernel prices all centers at once by the
-    product-rule closed form of ``post_hit_energies``: on a warm profile
-    cache a call runs 2 fft, 1 ifft, 4 rfft and 2 irfft of length
-    ``psi.grid.n_points``, whatever n_trials.  The compact-support and
-    ideal kernels, whose jump the product rule misses, apply and price
-    each hit.
+    The gains are ``post_hit_gains``: a GaussianKernel of sigma >= 2 dx
+    prices all centers at once by parts, from one spectral derivative and
+    one rfft of rho; any other kernel applies and prices each hit.
 
     For a GaussianKernel the Born-averaged gain is hbar^2 / (8 m sigma^2)
-    for any state (hbar^2 / (4 m r_C^2) with r_C = sqrt(2) sigma): the mean
-    post-hit energy is E(before) + (hbar^2 / 2m) * integral of g'^2 for the
-    normalized amplitude kernel g, since the cross term g g' is odd.
+    for any state (hbar^2 / (4 m r_C^2) with r_C = sqrt(2) sigma): the
+    center density cancels in the mean, which leaves E(before) plus
+    (hbar^2 / 2m) times the integral of h, 1 / (4 sigma^2).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    before = energy_expectation(psi, params)
-    density = kernel.center_density(mod_square_density(psi), psi.grid)
-    indices = draw_center_indices(density, rng, n_trials)
-    gains = post_hit_energies(psi, kernel, params, density, indices) - before
+    gains = post_hit_gains(psi, kernel, params, rng, n_trials)
     return float(np.mean(gains)), float(np.std(gains))

@@ -40,7 +40,7 @@ from grwlab.errors import (
     ZeroNormError,
     ZeroProfileError,
 )
-from grwlab.ontology import post_hit_energies
+from grwlab.ontology import post_hit_gains
 from grwlab.state import NORM_FLOOR
 
 
@@ -440,23 +440,46 @@ class TestEnergyGainPerHit:
         ],
         ids=["moving_packet", "unequal_superposition", "near_edge", "odd_grid"],
     )
-    def test_closed_form_matches_per_hit_energies(self, psi):
+    # None is the narrowest width the closed form takes, 2 dx
+    @pytest.mark.parametrize("sigma", [1.0, None, 0.1, 2.0], ids=["1", "2dx", "0.1", "2"])
+    def test_closed_form_matches_per_hit_energies(self, psi, sigma):
         grid = psi.grid
         params = PhysicsParams.scaled()
-        kernel = GaussianKernel(1.0)
+        kernel = GaussianKernel(2.0 * grid.dx if sigma is None else sigma)
         density = kernel.center_density(mod_square_density(psi), grid)
         indices = draw_center_indices(density, RngStream(5), 300)
         per_hit = [
             energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
             for i in indices
         ]
-        closed = post_hit_energies(psi, kernel, params, density, indices)
+        closed = post_hit_gains(psi, kernel, params, RngStream(5), 300)
+        # compared as energies: a gain is a small difference of two of them
+        closed += energy_expectation(psi, params)
         np.testing.assert_allclose(closed, per_hit, rtol=1e-12, atol=0.0)
 
+    def test_unresolved_gaussian_is_priced_per_hit(self):
+        # at sigma = 0.5 dx the closed form is 7-19% off; the mean must be
+        # the per-hit one, at the same draws
+        grid = self.LEDGER_GRID
+        psi = gaussian_packet(grid, -3.0, 2.0, wavenumber=3.0)
+        kernel, params = GaussianKernel(0.5 * grid.dx), PhysicsParams.scaled()
+        before = energy_expectation(psi, params)
+        density = kernel.center_density(mod_square_density(psi), grid)
+        indices = draw_center_indices(density, RngStream(9), 200)
+        gains = np.array(
+            [
+                energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
+                for i in indices
+            ]
+        ) - before
+        result = energy_gain_per_hit(psi, kernel, params, RngStream(9), 200)
+        assert result == (float(np.mean(gains)), float(np.std(gains)))
+
     def test_gaussian_call_runs_a_fixed_transform_budget(self, monkeypatch):
-        # on a warm profile cache: one fft for <H> before, the fft/ifft pair
-        # of psi', an rfft/irfft pair for the center density, and one rfft
-        # per real correland and one irfft for the summed numerator
+        # on a warm profile cache: the fft/ifft pair of psi' (which also
+        # gives <H> before), one rfft of rho shared by the center density and
+        # the numerator, one rfft of |psi'|^2, and an irfft for each of the
+        # center density and the numerator
         grid = self.LEDGER_GRID
         psi = gaussian_packet(grid, -3.0, 2.0, wavenumber=3.0)
         kernel, params = GaussianKernel(1.0), PhysicsParams.scaled()
@@ -474,12 +497,12 @@ class TestEnergyGainPerHit:
         for name in counts:
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         energy_gain_per_hit(psi, kernel, params, RngStream(5), 100)
-        assert counts == {"fft": 2, "ifft": 1, "rfft": 4, "irfft": 2}
-        # the second call read the same entry, which holds the three spectra
+        assert counts == {"fft": 1, "ifft": 1, "rfft": 2, "irfft": 2}
+        # the second call read the same entry, which holds the two spectra
         assert _profile_spectrum(kernel, grid) is spectra
-        assert len(spectra) == 3
+        assert len(spectra) == 2
 
-    def test_closed_form_raises_where_the_center_density_vanishes(self):
+    def test_closed_form_raises_where_the_center_density_vanishes(self, monkeypatch):
         # like apply_hit, which raises where the hit annihilates the state
         grid = self.LEDGER_GRID
         psi = gaussian_packet(grid, 0.0, 0.5)
@@ -487,8 +510,10 @@ class TestEnergyGainPerHit:
         density = kernel.center_density(mod_square_density(psi), grid)
         empty = np.flatnonzero(density < NORM_FLOOR)
         assert empty.size > 0
+        # draws follow the density, so force one onto an empty center
+        monkeypatch.setattr(ontology, "draw_center_indices", lambda *args: empty[:1])
         with pytest.raises(ZeroNormError):
-            post_hit_energies(psi, kernel, PhysicsParams.scaled(), density, empty[:1])
+            post_hit_gains(psi, kernel, PhysicsParams.scaled(), RngStream(5), 1)
 
     def test_draws_the_same_centers_as_sample_center(self, monkeypatch):
         grid = self.LEDGER_GRID
@@ -496,11 +521,12 @@ class TestEnergyGainPerHit:
         kernel = GaussianKernel(1.0)
         drawn = []
 
-        def spy(psi, kernel, params, density, indices):
+        def spy(density, rng, size):
+            indices = draw_center_indices(density, rng, size)
             drawn.append(grid.points[indices])
-            return post_hit_energies(psi, kernel, params, density, indices)
+            return indices
 
-        monkeypatch.setattr(ontology, "post_hit_energies", spy)
+        monkeypatch.setattr(ontology, "draw_center_indices", spy)
         rng = RngStream(61)
         energy_gain_per_hit(psi, kernel, PhysicsParams.scaled(), rng, 50)
         np.testing.assert_array_equal(

@@ -200,10 +200,22 @@ class TestProfileSpectrumCache:
             offsets = grid.wrap(grid.points - grid.x_min)
             spectra = _profile_spectrum(kernel, grid)
             np.testing.assert_array_equal(spectra[0], np.fft.rfft(kernel.center_profile(offsets)))
-            # a product-rule kernel adds g g' and g'^2 (its g^2 is center_profile)
-            extra = (kernel.product_rule_profiles(offsets) or ())[1:]
-            assert len(spectra) == 1 + len(extra)
-            for spectrum, profile in zip(spectra[1:], extra):
-                np.testing.assert_array_equal(spectrum, np.fft.rfft(profile))
+            # a kernel with a by-parts profile h adds its spectrum
+            h = kernel.by_parts_profile(offsets)
+            assert len(spectra) == (1 if h is None else 2)
+            if h is not None:
+                np.testing.assert_array_equal(spectra[1], np.fft.rfft(h))
         if pairs[0] != pairs[1]:
             assert _profile_spectrum(*pairs[0]) is not _profile_spectrum(*pairs[1])
+
+    @given(
+        n=st.sampled_from([2047, 2048, 8192]),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @FFT_SETTINGS
+    def test_by_parts_profile_integrates_to_the_law(self, n, fraction):
+        # the integral of h = -g g'' is 1 / (4 sigma^2) for every resolved width
+        grid = Grid1D(-32.0, 32.0, n)
+        sigma = 2.0 * grid.dx + fraction * (3.0 - 2.0 * grid.dx)
+        h = GaussianKernel(sigma).by_parts_profile(grid.wrap(grid.points - grid.x_min))
+        assert abs(float(np.sum(h)) * grid.dx * 4.0 * sigma**2 - 1.0) <= 1e-12
