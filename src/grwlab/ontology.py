@@ -328,8 +328,8 @@ def energy_gain_per_hit(
     """Mean and spread of E(after hit) - E(before) over sampled centers.
 
     The gains are ``post_hit_gains``: a GaussianKernel of sigma >= 2 dx
-    prices all centers at once by parts, from one spectral derivative and
-    one rfft of rho; any other kernel applies and prices each hit.
+    prices all centers at once by parts (one spectral derivative, one rfft
+    of rho); a narrower one and any other kernel price each hit.
 
     For a GaussianKernel the Born-averaged gain is hbar^2 / (8 m sigma^2)
     for any state (hbar^2 / (4 m r_C^2) with r_C = sqrt(2) sigma): the

@@ -458,8 +458,8 @@ class TestEnergyGainPerHit:
         np.testing.assert_allclose(closed, per_hit, rtol=1e-12, atol=0.0)
 
     def test_unresolved_gaussian_is_priced_per_hit(self):
-        # at sigma = 0.5 dx the closed form is 7-19% off; the mean must be
-        # the per-hit one, at the same draws
+        # at sigma = 0.5 dx the closed form's energies are up to 7% off; the
+        # gains must be the per-hit ones, at the same draws
         grid = self.LEDGER_GRID
         psi = gaussian_packet(grid, -3.0, 2.0, wavenumber=3.0)
         kernel, params = GaussianKernel(0.5 * grid.dx), PhysicsParams.scaled()
