@@ -41,7 +41,6 @@ from .state import (
     Grid1D,
     PhysicsParams,
     WaveFunction1D,
-    branch_distance,
     gaussian_packet,
     mod_square_density,
     momentum_representation,

@@ -115,7 +115,7 @@ def resolve_config(
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
 
-    unit_defaults = PhysicsParams.scaled(lam=1e-3) if units == "scaled" else PhysicsParams.si()
+    unit_defaults = PhysicsParams.scaled(lam=1e-3) if units == "scaled" else PhysicsParams()
     physics_fields = {key: _PHYSICS_FIELDS[key] for key in spec.physics}
     section = raw.get("physics") or {}
     if "kernel" in physics_fields and isinstance(section, dict):

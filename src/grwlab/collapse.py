@@ -30,7 +30,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import ZeroNormError
-from .propagator import Potential1D, evolve, evolve_free
+from .propagator import Potential1D, evolve
 from .state import (
     NORM_FLOOR,
     NORM_TOL,
@@ -410,9 +410,10 @@ def run_grw(
     """Alternate unitary evolution and hits at sampled exponential times.
 
     Grid states free-evolve exactly between hits (or by Strang steps of size
-    dt when a potential is supplied); branched states evolve trivially
-    (positions fixed).  The event log is complete, time-ordered, and fully
-    reproducible from the stream's seed.  Draw order per hit: waiting time,
+    dt when a potential is supplied), both through ``evolve``, which warns
+    with BoundaryContamination when density reaches the box edges; branched
+    states evolve trivially (positions fixed).  The event log is complete,
+    time-ordered, and fully reproducible from the stream's seed.  Draw order per hit: waiting time,
     then hit particle, then branch/center selection.
     """
     if duration < 0:
@@ -439,9 +440,8 @@ def run_grw(
     def advance(psi: WaveFunction1D, interval: float) -> WaveFunction1D:
         if interval == 0.0:
             return psi
-        if potential is None:
-            return evolve_free(psi, params, interval)
-        n_steps = max(1, int(round(interval / dt)))
+        # with no potential, evolve takes one exact free step
+        n_steps = 1 if potential is None else max(1, int(round(interval / dt)))
         return evolve(psi, potential, params, interval / n_steps, n_steps)
 
     psi = initial

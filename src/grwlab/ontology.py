@@ -238,19 +238,9 @@ def displaced_tail_center(
     return tail_center + (collapse_center - tail_center) * (s2 / (g2 + s2))
 
 
-def peak_position(
-    grid: Grid1D, density: np.ndarray, region: tuple[float, float] | None = None
-) -> float:
-    """Grid coordinate of the density argmax (optionally within a region)."""
-    density = np.asarray(density, dtype=np.float64)
-    if region is None:
-        return float(grid.points[int(np.argmax(density))])
-    lo, hi = _check_region(region)
-    mask = grid.region_mask((lo, hi))
-    if not np.any(mask):
-        raise DegenerateRegionError(f"region [{lo}, {hi}] contains no grid points")
-    idx = np.flatnonzero(mask)
-    return float(grid.points[idx[int(np.argmax(density[idx]))]])
+def peak_position(grid: Grid1D, density: np.ndarray) -> float:
+    """Grid coordinate of the density argmax."""
+    return float(grid.points[int(np.argmax(np.asarray(density, dtype=np.float64)))])
 
 
 def energy_expectation(

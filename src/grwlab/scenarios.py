@@ -397,9 +397,8 @@ def wallace_displacement(
     post = apply_hit(psi, x, kernel)
 
     # tail lobe = the y-component under the same multiplicative hit
-    factors = kernel.amplitude_factor(grid.wrap(grid.points - x))
-    tail_component = np.abs(packet_tail.amplitudes * factors) ** 2
-    center_component = np.abs(packet_center.amplitudes * factors) ** 2
+    tail_component = np.abs(kernel.localize(packet_tail, x)) ** 2
+    center_component = np.abs(kernel.localize(packet_center, x)) ** 2
 
     analytic = displaced_tail_center(y, x, s, sigma)
     numeric = peak_position(grid, tail_component)
@@ -506,9 +505,8 @@ def hegerfeldt_regrowth(
 
 
 def kernel_dilemma(
-    kernel_a: GaussianKernel,
-    kernel_b: CompactSupportKernel,
     params: PhysicsParams,
+    window: float,
     grid: Grid1D,
     separation: float,
     packet_width: float,
@@ -517,7 +515,8 @@ def kernel_dilemma(
 ) -> ScenarioResult:
     """The two-column trade-off between Gaussian and compact-support hits.
 
-    The same two-packet superposition takes one hit under each kernel,
+    The same two-packet superposition takes one hit under each kernel of
+    width params.sigma (the compact one truncated at |x - z| <= window),
     centered on the Born-selected packet (one draw, shared by both columns
     for comparability).  Gaussian column: a persistent tail that is a
     near-exact structural copy of the collapse center.  Compact column: the
@@ -525,12 +524,9 @@ def kernel_dilemma(
     regrows mass outside the window instantly, and the regrown tail carries
     none of the center's structure.
     """
-    if not isinstance(kernel_a, GaussianKernel):
-        raise TypeError("kernel_a must be a GaussianKernel")
-    if not isinstance(kernel_b, CompactSupportKernel):
-        raise TypeError("kernel_b must be a CompactSupportKernel")
-    sigma = kernel_a.sigma
-    if kernel_b.window >= separation / 2.0:
+    gaussian_kernel = GaussianKernel(params.sigma)
+    compact_kernel = CompactSupportKernel(params.sigma, window)
+    if window >= separation / 2.0:
         raise ValueError("compact window must be smaller than half the separation")
 
     packet_0 = gaussian_packet(grid, 0.0, packet_width)
@@ -545,65 +541,48 @@ def kernel_dilemma(
     center_region = (
         (grid.x_min - grid.dx, mid) if z < far else (mid, grid.x_max + grid.dx)
     )
-    half_cells = int(round(3.0 * sigma / grid.dx))
+    half_cells = int(round(3.0 * params.sigma / grid.dx))
 
-    def column_gaussian() -> dict:
-        post = apply_hit(psi, z, kernel_a)
-        rho = mod_square_density(post)
-        tail = tail_mass(post, center_region)
-        score = isomorphism_score(
+    def structure(rho: np.ndarray) -> float:
+        """Isomorphism score of the +-3 sigma windows at the centre and the far packet."""
+        return isomorphism_score(
             _cyclic_window(rho, grid, z, half_cells),
             _cyclic_window(rho, grid, far, half_cells),
         )
-        return {"post_hit_tail_weight": tail, "tail_isomorphism": score, "density": rho}
 
-    def column_compact() -> dict:
-        post = apply_hit(psi, z, kernel_b)
-        tail0 = tail_mass(post, center_region)
-        regrown = _evolve_free_in_box(post, params, regrow_dt)
-        rho = mod_square_density(regrown)
-        window_mass = tail_mass(regrown, (z - kernel_b.window, z + kernel_b.window))
-        tail_after = tail_mass(regrown, center_region)
-        score = isomorphism_score(
-            _cyclic_window(rho, grid, z, half_cells),
-            _cyclic_window(rho, grid, far, half_cells),
-        )
-        return {
-            "post_hit_tail_weight": tail0,
-            "regrown_mass_outside_window": window_mass,
-            "tail_weight_after_regrowth": tail_after,
-            "regrown_tail_isomorphism": score,
-            "density_post": mod_square_density(post),
-            "density_regrown": rho,
-        }
+    gaussian_post = apply_hit(psi, z, gaussian_kernel)
+    gaussian_rho = mod_square_density(gaussian_post)
+    compact_post = apply_hit(psi, z, compact_kernel)
+    compact_rho = mod_square_density(compact_post)
+    regrown = _evolve_free_in_box(compact_post, params, regrow_dt)
+    regrown_rho = mod_square_density(regrown)
 
-    gauss = column_gaussian()
-    compact = column_compact()
-
+    gaussian = {
+        "kernel": gaussian_kernel.label,
+        "post_hit_tail_weight": tail_mass(gaussian_post, center_region),
+        "tail_isomorphism": structure(gaussian_rho),
+    }
+    compact = {
+        "kernel": compact_kernel.label,
+        "post_hit_tail_weight": tail_mass(compact_post, center_region),
+        "regrown_mass_outside_window": tail_mass(regrown, (z - window, z + window)),
+        "tail_weight_after_regrowth": tail_mass(regrown, center_region),
+        "regrown_tail_isomorphism": structure(regrown_rho),
+        "regrow_dt": regrow_dt,
+    }
     summary = {
-        "selected_branch": int(selected),
+        "selected_branch": selected,
         "collapse_center": z,
-        "gaussian": {
-            "kernel": kernel_a.label,
-            "post_hit_tail_weight": gauss["post_hit_tail_weight"],
-            "tail_isomorphism": gauss["tail_isomorphism"],
-        },
-        "compact_support": {
-            "kernel": kernel_b.label,
-            "post_hit_tail_weight": compact["post_hit_tail_weight"],
-            "regrown_mass_outside_window": compact["regrown_mass_outside_window"],
-            "tail_weight_after_regrowth": compact["tail_weight_after_regrowth"],
-            "regrown_tail_isomorphism": compact["regrown_tail_isomorphism"],
-            "regrow_dt": regrow_dt,
-        },
+        "gaussian": gaussian,
+        "compact_support": compact,
     }
     verdicts = {
-        "gaussian_tail_persists": gauss["post_hit_tail_weight"] > 0.0,
-        "gaussian_tail_isomorphic": gauss["tail_isomorphism"] > 0.99,
+        "gaussian_tail_persists": gaussian["post_hit_tail_weight"] > 0.0,
+        "gaussian_tail_isomorphic": gaussian["tail_isomorphism"] > 0.99,
         "compact_tail_exactly_zero": compact["post_hit_tail_weight"] == 0.0,
         "compact_tail_regrows": compact["regrown_mass_outside_window"] > 0.0,
         "compact_structure_below_gaussian": compact["regrown_tail_isomorphism"]
-        < gauss["tail_isomorphism"],
+        < gaussian["tail_isomorphism"],
     }
     series = {
         "profiles": Series(
@@ -613,12 +592,7 @@ def kernel_dilemma(
                 ("compact_post_density", "per_length"),
                 ("compact_regrown_density", "per_length"),
             ],
-            data=(
-                grid.points,
-                gauss["density"],
-                compact["density_post"],
-                compact["density_regrown"],
-            ),
+            data=(grid.points, gaussian_rho, compact_rho, regrown_rho),
         )
     }
     return ScenarioResult(
@@ -986,8 +960,8 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         check=_dilemma_fits_grid,
         grid=(16.0, 2048),
         run=lambda p, ph, grid, seed: kernel_dilemma(
-            GaussianKernel(ph["sigma"]), CompactSupportKernel(ph["sigma"], ph["window"]),
-            _physics_params(ph), grid, p["separation"], p["packet_width"], p["regrow_dt"], seed,
+            _physics_params(ph), ph["window"], grid,
+            p["separation"], p["packet_width"], p["regrow_dt"], seed,
         ),
     ),
 }

@@ -110,10 +110,6 @@ class PhysicsParams:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
 
     @classmethod
-    def si(cls, lam: float = 1e-16, sigma: float = 1e-5) -> "PhysicsParams":
-        return cls(lam=lam, sigma=sigma)
-
-    @classmethod
     def scaled(cls, lam: float = 0.1, sigma: float = 1.0) -> "PhysicsParams":
         return cls(hbar=1.0, mass=1.0, lam=lam, sigma=sigma)
 
@@ -318,13 +314,3 @@ class BranchedState:
     def branches(self) -> tuple[Branch, ...]:
         """One record per branch: weight, label and its row of positions."""
         return tuple(map(Branch, self.weights.tolist(), self.labels, self.positions))
-
-
-def branch_distance(state: BranchedState, j: int, k: int, particle: int) -> float:
-    """|positions[j, particle] - positions[k, particle]| for two branches."""
-    n = state.n_branches
-    if not (0 <= j < n and 0 <= k < n):
-        raise IndexError(f"branch index out of range (n_branches = {n})")
-    if not (0 <= particle < state.n_particles):
-        raise IndexError(f"particle index out of range (n_particles = {state.n_particles})")
-    return float(abs(state.positions[j, particle] - state.positions[k, particle]))

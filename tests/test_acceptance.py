@@ -23,7 +23,6 @@ import yaml
 
 from grwlab import (
     BranchedState,
-    CompactSupportKernel,
     GaussianKernel,
     Grid1D,
     IdealKernel,
@@ -274,9 +273,8 @@ class TestCriterion9DilemmaTable:
     def test_9_two_column_verdicts(self):
         # the registry defaults at sigma = 1, as configs/kernel_dilemma.yaml resolves
         result = kernel_dilemma(
-            GaussianKernel(1.0),
-            CompactSupportKernel(1.0, 1.0),
             PhysicsParams.scaled(),
+            window=1.0,
             grid=Grid1D(-16.0, 16.0, 2048),
             separation=4.0,
             packet_width=0.125,

@@ -41,7 +41,8 @@ def write_config(path, payload):
 
 # Configs that once got past resolve_config (exit 2, or exit 0 with failed
 # verdicts), as YAML text: PyYAML reads 1e300 as a string, so the floats use
-# YAML 1.1 syntax.  CI runs the same texts through the console script.
+# YAML 1.1 syntax.  CI reads these texts from here and runs them through the
+# console script.
 OUT_OF_BOUNDS_CONFIGS = {
     "dt_list_1e300": (
         "scenario: hegerfeldt_regrowth\nparams: {dt_list: [0.0, 1.0e+300]}\n", "params.dt_list"
@@ -141,7 +142,8 @@ OUT_OF_BOUNDS_CONFIGS = {
 }
 
 # Configs that once exited 2 and now run with every verdict true, except the
-# statistical Born check.  CI runs the same texts through the console script.
+# statistical Born check.  CI reads these texts from here and runs them through
+# the console script.
 EXIT_ZERO_CONFIGS = {
     # physics.window follows the configured sigma, not the unit mode's
     "dilemma_sigma_4": "scenario: kernel_dilemma\nphysics: {sigma: 4.0}\n",

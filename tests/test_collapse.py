@@ -18,6 +18,7 @@ from grwlab import (
     WaveFunction1D,
     apply_branch_hit,
     apply_hit,
+    evolve_free,
     gaussian_packet,
     harmonic_potential,
     hit_rate,
@@ -28,7 +29,7 @@ from grwlab import (
     superposition,
     uniform_state,
 )
-from grwlab.errors import ZeroNormError
+from grwlab.errors import BoundaryContamination, ZeroNormError
 
 
 def quad_variance(grid, density):
@@ -337,6 +338,20 @@ class TestRunGrw:
         assert len(events) > 0
         assert abs(final.norm_squared - 1.0) < 1e-9
         assert all(e.time <= 2.0 for e in events)
+
+    def test_free_run_reaching_the_edges_warns(self):
+        # a width-0.5 packet spreads over a 16-wide box in 20 time units; the
+        # free path warns at the edges as the trapped path does, and still
+        # evolves exactly
+        grid = Grid1D(-8.0, 8.0, 512)
+        params = PhysicsParams.scaled(lam=1e-3)
+        psi = gaussian_packet(grid, 0.0, 0.5)
+        with pytest.warns(BoundaryContamination):
+            final, events = run_grw(psi, 20.0, GaussianKernel(1.0), params, RngStream(0))
+        assert events == []
+        np.testing.assert_array_equal(
+            final.amplitudes, evolve_free(psi, params, 20.0).amplitudes
+        )
 
     def test_grid_state_run_with_potential(self):
         grid = Grid1D(-20.0, 20.0, 512)

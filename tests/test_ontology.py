@@ -294,7 +294,7 @@ class TestDisplacedTailCenter:
 
 
 class TestPeakPosition:
-    def test_global_and_regional_argmax(self):
+    def test_global_argmax(self):
         grid = Grid1D(-10.0, 10.0, 512)
         psi = superposition(
             [
@@ -304,9 +304,6 @@ class TestPeakPosition:
         )
         rho = mod_square_density(psi)
         assert peak_position(grid, rho) == pytest.approx(-4.0, abs=grid.dx)
-        assert peak_position(grid, rho, region=(0.0, 10.0)) == pytest.approx(
-            4.0, abs=grid.dx
-        )
 
 
 class TestEnergyExpectation:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from grwlab import CompactSupportKernel, GaussianKernel, Grid1D, PhysicsParams, RngStream
+from grwlab import GaussianKernel, Grid1D, PhysicsParams, RngStream
+from grwlab.cli import dispatch, resolve_config
 from grwlab.errors import (
     BoundaryContamination,
     GridTooCoarseError,
@@ -332,16 +333,17 @@ class TestHegerfeldtRegrowth:
             hegerfeldt_regrowth(1.0, [0.0, -0.1], params, grid)
 
 
-def dilemma(kernel_a, kernel_b, params, seed):
-    """kernel_dilemma with the registry defaults at sigma = 1: a (-16, 16) box
-    of 2048 points, separation 4, packet width 1/8 and regrow_dt 0.1."""
+def dilemma(params, seed):
+    """kernel_dilemma with the registry defaults at sigma = 1: window 1, a
+    (-16, 16) box of 2048 points, separation 4, packet width 1/8 and
+    regrow_dt 0.1."""
     grid = Grid1D(-16.0, 16.0, 2048)
-    return kernel_dilemma(kernel_a, kernel_b, params, grid, 4.0, 0.125, 0.1, seed)
+    return kernel_dilemma(params, 1.0, grid, 4.0, 0.125, 0.1, seed)
 
 
 class TestKernelDilemma:
     def test_two_column_tradeoff(self, params):
-        result = dilemma(GaussianKernel(1.0), CompactSupportKernel(1.0, 1.0), params, seed=3)
+        result = dilemma(params, seed=3)
         gauss = result.summary["gaussian"]
         compact = result.summary["compact_support"]
         assert gauss["post_hit_tail_weight"] > 0.0
@@ -353,26 +355,27 @@ class TestKernelDilemma:
         assert all(result.verdicts.values()), result.verdicts
 
     def test_deterministic_per_seed(self, params):
-        def run(seed):
-            return dilemma(
-                GaussianKernel(1.0), CompactSupportKernel(1.0, 1.0), params, seed
-            ).summary
+        assert dilemma(params, 9).summary == dilemma(params, 9).summary
 
-        assert run(9) == run(9)
-
-    def test_kernel_types_enforced(self, params):
-        compact = CompactSupportKernel(1.0, 1.0)
-        with pytest.raises(TypeError, match="kernel_a"):
-            dilemma(compact, compact, params, 0)
-        with pytest.raises(TypeError, match="kernel_b"):
-            dilemma(GaussianKernel(1.0), GaussianKernel(1.0), params, 0)
+    def test_both_branch_selections_mirror_each_other(self):
+        # the default config at seeds 0 and 2 hits the packet at 0 and the
+        # one at the separation; the two runs are mirror images
+        first, second = (
+            dispatch(resolve_config({"scenario": "kernel_dilemma"}, seed)) for seed in (0, 2)
+        )
+        assert [r.summary["selected_branch"] for r in (first, second)] == [0, 1]
+        assert all(first.verdicts.values()) and all(second.verdicts.values())
+        for column in ("gaussian", "compact_support"):
+            mirrored = second.summary[column]
+            for key, value in first.summary[column].items():
+                if isinstance(value, float):
+                    assert mirrored[key] == pytest.approx(value, rel=1e-9, abs=1e-15), key
 
     def test_regrowth_reaching_the_edges_escalates(self, params):
         # a long regrowth in the default box: the packets spread over the edges
         grid = Grid1D(-16.0, 16.0, 2048)
-        kernel_b = CompactSupportKernel(1.0, 1.0)
         with pytest.raises(BoundaryContamination):
-            kernel_dilemma(GaussianKernel(1.0), kernel_b, params, grid, 4.0, 0.125, 1.0e6, 3)
+            kernel_dilemma(params, 1.0, grid, 4.0, 0.125, 1.0e6, 3)
 
 
 def test_six_scenarios_catalogued():

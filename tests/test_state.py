@@ -8,7 +8,6 @@ from grwlab import (
     Grid1D,
     PhysicsParams,
     WaveFunction1D,
-    branch_distance,
     gaussian_packet,
     mod_square_density,
     momentum_representation,
@@ -217,26 +216,6 @@ class TestBranchedState:
         ):
             assert (branch.weight, branch.label) == (weight, label)
             np.testing.assert_array_equal(branch.positions, row)
-
-    def test_distance_zero_for_same_branch(self):
-        state = two_branch_state(4.0)
-        assert branch_distance(state, 0, 0, 0) == 0.0
-
-    def test_distance_reads_separation(self):
-        state = two_branch_state(4.0)
-        assert branch_distance(state, 0, 1, 2) == pytest.approx(4.0)
-
-    def test_distance_symmetric(self):
-        state = two_branch_state(2.5)
-        for p in range(state.n_particles):
-            assert branch_distance(state, 0, 1, p) == branch_distance(state, 1, 0, p)
-
-    def test_distance_index_errors(self):
-        state = two_branch_state(1.0)
-        with pytest.raises(IndexError):
-            branch_distance(state, 0, 2, 0)
-        with pytest.raises(IndexError):
-            branch_distance(state, 0, 1, 5)
 
 
 class TestImmutability:
