@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,20 @@ class TestRunGrw:
         assert events == []
         np.testing.assert_array_equal(
             final.amplitudes, evolve_free(psi, params, 20.0).amplitudes
+        )
+
+    def test_free_run_inside_the_box_is_silent(self):
+        # the same packet free for 1 time unit stays far from the edges: the
+        # free path raises no alarm and matches evolve_free
+        grid = Grid1D(-8.0, 8.0, 512)
+        params = PhysicsParams.scaled(lam=1e-3)
+        psi = gaussian_packet(grid, 0.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryContamination)
+            final, events = run_grw(psi, 1.0, GaussianKernel(1.0), params, RngStream(0))
+        assert events == []
+        np.testing.assert_array_equal(
+            final.amplitudes, evolve_free(psi, params, 1.0).amplitudes
         )
 
     def test_grid_state_run_with_potential(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grwlab import GaussianKernel, Grid1D, PhysicsParams, RngStream
+from grwlab import CompactSupportKernel, GaussianKernel, Grid1D, PhysicsParams, RngStream
 from grwlab.cli import dispatch, resolve_config
 from grwlab.errors import (
     BoundaryContamination,
@@ -370,6 +370,27 @@ class TestKernelDilemma:
             for key, value in first.summary[column].items():
                 if isinstance(value, float):
                     assert mirrored[key] == pytest.approx(value, rel=1e-9, abs=1e-15), key
+
+    def test_kernels_follow_sigma_and_window(self):
+        # both kernels take params.sigma, and the compact one cuts at window
+        params = PhysicsParams.scaled(lam=1e-3, sigma=0.5)
+        grid = Grid1D(-16.0, 16.0, 2048)
+        result = kernel_dilemma(params, 0.75, grid, 4.0, 0.125, 0.1, 3)
+        assert result.summary["gaussian"]["kernel"] == GaussianKernel(0.5).label
+        assert (
+            result.summary["compact_support"]["kernel"]
+            == CompactSupportKernel(0.5, 0.75).label
+        )
+        z = result.summary["collapse_center"]
+        x, _, compact_rho, _ = result.series["profiles"].data
+        outside = np.abs(x - z) > 0.75
+        assert np.all(compact_rho[outside] == 0.0)
+        assert np.all(compact_rho[np.abs(x - z) < 0.5] > 0.0)
+
+    def test_window_at_half_separation_rejected(self, params):
+        grid = Grid1D(-16.0, 16.0, 2048)
+        with pytest.raises(ValueError, match="half the separation"):
+            kernel_dilemma(params, 2.0, grid, 4.0, 0.125, 0.1, 3)
 
     def test_regrowth_reaching_the_edges_escalates(self, params):
         # a long regrowth in the default box: the packets spread over the edges
