@@ -168,7 +168,7 @@ def write_outputs(result: ScenarioResult, config: dict, out_dir: Path) -> list[P
     payload = {
         "artifact": {"name": "grwlab", "version": __version__},
         "config": config,
-        "result": result.to_dict(),
+        "result": {"name": result.name, "summary": result.summary, "verdicts": result.verdicts},
     }
     # strict JSON: a non-finite summary value raises before anything is written
     summary = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

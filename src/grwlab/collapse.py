@@ -194,22 +194,21 @@ KERNELS = {
 }
 
 
-class RngStream:
+class RngStream(np.random.Generator):
     """Counter-based random stream, reproducible across platforms.
 
-    Wraps numpy's Philox generator.  Identical (seed, spawn_key) pairs yield
-    identical draw sequences.  ``for_trial`` gives a trial an independent
-    stream of any length; ``trial_uniforms`` gives each trial of an ensemble
-    one Philox counter block (four uniforms) under the seed's key, so a
-    trial's draws are a pure function of (seed, trial) and ensembles can run
-    in any order or in parallel without changing results.
+    A numpy Generator on Philox keyed by ``SeedSequence(seed, spawn_key)``:
+    identical (seed, spawn_key) pairs yield identical draw sequences.
+    ``for_trial`` gives a trial an independent stream of any length;
+    ``trial_uniforms`` gives each trial of an ensemble one Philox counter
+    block (four uniforms) under the seed's key, so a trial's draws are a pure
+    function of (seed, trial) and ensembles can run in any order or in
+    parallel without changing results.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.spawn_key = tuple(spawn_key)
-        sequence = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(sequence))
+        sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(spawn_key))
+        super().__init__(np.random.Philox(sequence))
 
     @classmethod
     def for_trial(cls, master_seed: int, trial: int) -> "RngStream":
@@ -231,19 +230,6 @@ class RngStream:
         uniforms = bits.astype(np.float64)
         uniforms *= 2.0**-53
         return uniforms.reshape(n_trials, 4)
-
-    def random(self) -> float:
-        return float(self._gen.random())
-
-    def integers(self, high: int) -> int:
-        """Uniform integer in [0, high)."""
-        return int(self._gen.integers(high))
-
-    def exponential(self, mean: float) -> float:
-        return float(self._gen.exponential(scale=mean))
-
-    def uniforms(self, size: int) -> np.ndarray:
-        return self._gen.random(size)
 
 
 @dataclass(frozen=True)
@@ -269,17 +255,6 @@ class CollapseEvent:
             total = sum(self.post_weights)
             if abs(total - 1.0) > NORM_TOL:
                 raise ValueError(f"post_weights sum to {total!r}, expected 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "particle": self.particle,
-            "center": self.center,
-            "kernel": self.kernel,
-            "selected_branch": self.selected_branch,
-            "pre_weights": list(self.pre_weights) if self.pre_weights else None,
-            "post_weights": list(self.post_weights) if self.post_weights else None,
-        }
 
 
 def hit_rate(n_particles: int, params: PhysicsParams) -> float:
@@ -325,13 +300,13 @@ def sample_center(
 def draw_center_indices(density: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
     """Grid indices of ``size`` centers drawn by inverse CDF from a center density.
 
-    Consumes ``rng.uniforms(size)``, one uniform per center.  Any finite
+    Consumes ``rng.random(size)``, one uniform per center.  Any finite
     weight vector works: ``apply_branch_hit`` draws its branch with it.
     """
     cdf = np.cumsum(density)
     if cdf[-1] < NORM_FLOOR:
         raise ZeroNormError("center density vanishes everywhere")
-    u = rng.uniforms(size) * cdf[-1]
+    u = rng.random(size) * cdf[-1]
     return np.minimum(np.searchsorted(cdf, u, side="right"), density.size - 1)
 
 
@@ -413,51 +388,48 @@ def run_grw(
     dt when a potential is supplied), both through ``evolve``, which warns
     with BoundaryContamination when density reaches the box edges; branched
     states evolve trivially (positions fixed).  The event log is complete,
-    time-ordered, and fully reproducible from the stream's seed.  Draw order per hit: waiting time,
-    then hit particle, then branch/center selection.
+    time-ordered, and fully reproducible from the stream's seed.  Draw order
+    per hit: waiting time, then hit particle (branched states only), then
+    branch or center.
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    events: list[CollapseEvent] = []
-    t = 0.0
 
     if isinstance(initial, BranchedState):
-        state = initial
-        n = state.n_particles
-        while True:
-            wait = sample_hit_time(n, params, rng)
-            if t + wait > duration:
-                break
-            t += wait
-            particle = rng.integers(n)
-            state, event = apply_branch_hit(state, particle, kernel, rng, time=t)
-            events.append(event)
-        return state, events
+        n = initial.n_particles
 
-    if potential is not None and dt is None:
-        raise ValueError("dt is required when evolving with a potential")
+        def advance(state: BranchedState, interval: float) -> BranchedState:
+            return state
 
-    def advance(psi: WaveFunction1D, interval: float) -> WaveFunction1D:
-        if interval == 0.0:
-            return psi
-        # with no potential, evolve takes one exact free step
-        n_steps = 1 if potential is None else max(1, int(round(interval / dt)))
-        return evolve(psi, potential, params, interval / n_steps, n_steps)
+        def hit(state: BranchedState, t: float) -> tuple[BranchedState, CollapseEvent]:
+            return apply_branch_hit(state, int(rng.integers(n)), kernel, rng, time=t)
 
-    psi = initial
+    else:
+        if potential is not None and dt is None:
+            raise ValueError("dt is required when evolving with a potential")
+        n = 1
+
+        def advance(psi: WaveFunction1D, interval: float) -> WaveFunction1D:
+            if interval == 0.0:
+                return psi
+            # with no potential, evolve takes one exact free step
+            n_steps = 1 if potential is None else max(1, int(round(interval / dt)))
+            return evolve(psi, potential, params, interval / n_steps, n_steps)
+
+        def hit(psi: WaveFunction1D, t: float) -> tuple[WaveFunction1D, CollapseEvent]:
+            center = sample_center(psi, kernel, rng)
+            event = CollapseEvent(time=t, particle=0, center=center, kernel=kernel.label)
+            return apply_hit(psi, center, kernel), event
+
+    state, t, events = initial, 0.0, []
     while True:
-        wait = sample_hit_time(1, params, rng)
+        wait = sample_hit_time(n, params, rng)
         if t + wait > duration:
-            psi = advance(psi, duration - t)
-            break
-        psi = advance(psi, wait)
+            return advance(state, duration - t), events
+        state = advance(state, wait)
         t += wait
-        center = sample_center(psi, kernel, rng)
-        psi = apply_hit(psi, center, kernel)
-        events.append(
-            CollapseEvent(time=t, particle=0, center=center, kernel=kernel.label)
-        )
-    return psi, events
+        state, event = hit(state, t)
+        events.append(event)
 
 
 __all__ = [

@@ -82,14 +82,6 @@ class FuzzyLinkVerdict:
     q: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "region": list(self.region),
-            "fraction_inside": self.fraction_inside,
-            "q": self.q,
-            "verdict": self.verdict,
-        }
-
 
 def _check_region(region: tuple[float, float]) -> tuple[float, float]:
     lo, hi = float(region[0]), float(region[1])

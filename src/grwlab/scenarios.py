@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class ScenarioResult:
     summary: dict = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
     series: dict[str, Series] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "verdicts": self.verdicts,
-        }
 
 
 def _closure_check(a: complex, b: complex) -> tuple[float, float]:
@@ -282,12 +275,12 @@ def marble_in_box(
 
     summary = {
         "matter_fraction_outside": fraction_outside,
-        "fuzzy_link": verdict.to_dict(),
+        "fuzzy_link": asdict(verdict),
         "isomorphism_inside_vs_outside": score,
         "post_hit": {
             "selected_branch": event.selected_branch,
             "matter_fraction_outside": post_fraction_outside,
-            "fuzzy_link": post_verdict.to_dict(),
+            "fuzzy_link": asdict(post_verdict),
         },
     }
     verdicts = {
@@ -422,7 +415,7 @@ def wallace_displacement(
         "displacement": analytic - y,
         "tail_weight": tail_weight,
         "tail_isomorphism": isomorphism_score(center_component, tail_component),
-        "fuzzy_link_center_region": fuzzy_link(post, center_region, 0.1).to_dict(),
+        "fuzzy_link_center_region": asdict(fuzzy_link(post, center_region, 0.1)),
     }
     verdicts = {
         "peak_within_one_cell": abs(difference) <= grid.dx * (1.0 + 1e-9),
@@ -460,8 +453,8 @@ def hegerfeldt_regrowth(
         raise ValueError(f"window must be positive, got {window}")
     if not dt_list:
         raise ValueError("dt_list must be non-empty")
-    if any(dt < 0 for dt in dt_list):
-        raise ValueError("dt values must be >= 0")
+    if any(dt < 0 for dt in dt_list) or len(set(dt_list)) < len(dt_list):
+        raise ValueError("dt values must be distinct and >= 0")
 
     center = float(grid.points[grid.n_points // 2])
     packet = gaussian_packet(grid, center, params.sigma)
@@ -647,8 +640,11 @@ def _parse_interval(name: str, value) -> list[float]:
 
 def _parse_dt_list(name: str, value) -> list[float]:
     dts = _finite_floats(value)
-    if not dts or min(dts) < 0:
-        raise ConfigError(f"{name}: expected a non-empty list of finite dt >= 0, got {value!r}")
+    # a set holds 0.0 and -0.0 as one time
+    if not dts or min(dts) < 0 or len(set(dts)) < len(dts):
+        raise ConfigError(
+            f"{name}: expected a non-empty list of distinct finite dt >= 0, got {value!r}"
+        )
     return dts
 
 

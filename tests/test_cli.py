@@ -47,6 +47,15 @@ OUT_OF_BOUNDS_CONFIGS = {
     "dt_list_1e300": (
         "scenario: hegerfeldt_regrowth\nparams: {dt_list: [0.0, 1.0e+300]}\n", "params.dt_list"
     ),
+    # a repeated time, which would drop a row of tail_mass_by_dt; -0.0 is 0.0
+    "dt_list_repeated": (
+        "scenario: hegerfeldt_regrowth\nparams: {dt_list: [0.0, 0.001, 0.001, 0.002]}\n",
+        "params.dt_list",
+    ),
+    "dt_list_signed_zero": (
+        "scenario: hegerfeldt_regrowth\nparams: {dt_list: [0.0, -0.0, 0.001]}\n",
+        "params.dt_list",
+    ),
     "box_2e-300": (
         "scenario: hegerfeldt_regrowth\ngrid: {x_min: -1.0e-300, x_max: 1.0e-300}\n",
         "grid.x_min/x_max",

@@ -1,8 +1,10 @@
 """Hit process: rates, center sampling, kernels, branched hits, full runs."""
 
+import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from grwlab import (
     superposition,
     uniform_state,
 )
+from grwlab.collapse import branch_hit_weights
 from grwlab.errors import BoundaryContamination, ZeroNormError
 
 
@@ -393,8 +396,84 @@ class TestRunGrw:
         assert log(99) == log(99)
         assert log(99) != log(100)
 
+    @staticmethod
+    def inverse_cdf(weights, rng):
+        # one uniform per draw, as draw_center_indices consumes it
+        cdf = np.cumsum(weights)
+        return min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), cdf.size - 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 99])
+    def test_branched_run_replays_by_hand(self, seed):
+        # draw order per hit: the wait, then the particle, then the branch
+        state = two_branch(0.6, 4.0, n_particles=5)
+        params, kernel, duration = PhysicsParams.scaled(lam=2.0), GaussianKernel(1.0), 5.0
+        final, events = run_grw(state, duration, kernel, params, RngStream(seed))
+
+        rng, t, weights, expected = RngStream(seed), 0.0, state.weights, []
+        while (wait := rng.exponential(1.0 / hit_rate(5, params))) + t <= duration:
+            t += wait
+            particle = rng.integers(5)
+            k = self.inverse_cdf(np.abs(weights) ** 2, rng)
+            positions = state.positions[:, particle]
+            expected.append((t, particle, positions[k]))
+            weights = branch_hit_weights(weights, positions, float(positions[k]), kernel)
+        assert len(expected) > 3
+        assert [(e.time, e.particle, e.center) for e in events] == expected
+        np.testing.assert_array_equal(final.weights, weights)
+
+    @pytest.mark.parametrize("seed", [0, 7, 99])
+    def test_free_grid_run_replays_by_hand(self, seed):
+        # draw order per hit: the wait, then the center; free evolution is exact
+        grid = Grid1D(-40.0, 40.0, 1024)
+        params, kernel, duration = PhysicsParams.scaled(lam=5.0), GaussianKernel(1.0), 2.0
+        psi = gaussian_packet(grid, 0.0, 1.0)
+        final, events = run_grw(psi, duration, kernel, params, RngStream(seed))
+
+        rng, t, expected = RngStream(seed), 0.0, []
+        while (wait := rng.exponential(1.0 / hit_rate(1, params))) + t <= duration:
+            t += wait
+            psi = evolve_free(psi, params, wait)
+            density = kernel.center_density(mod_square_density(psi), grid)
+            center = float(grid.points[self.inverse_cdf(density, rng)])
+            expected.append((t, 0, center))
+            psi = apply_hit(psi, center, kernel)
+        psi = evolve_free(psi, params, duration - t)
+        assert len(expected) > 3
+        assert [(e.time, e.particle, e.center) for e in events] == expected
+        np.testing.assert_array_equal(final.amplitudes, psi.amplitudes)
+
+    def test_events_serialize_with_asdict(self):
+        params, kernel = PhysicsParams.scaled(lam=2.0), GaussianKernel(1.0)
+        _, branched = run_grw(two_branch(0.6, 4.0, 5), 5.0, kernel, params, RngStream(1))
+        psi = gaussian_packet(Grid1D(-40.0, 40.0, 1024), 0.0, 1.0)
+        _, grid_events = run_grw(psi, 2.0, kernel, params, RngStream(1))
+        assert branched and grid_events
+        for event in branched + grid_events:
+            # a numpy integer particle would make json.dumps raise
+            assert type(event.particle) is int
+            record = asdict(event)
+            # JSON writes the weight tuples as lists
+            expected = record | {k: list(v) for k, v in record.items() if isinstance(v, tuple)}
+            assert json.loads(json.dumps(record)) == expected
+
 
 class TestRngStream:
+    @staticmethod
+    def philox(seed, spawn_key=()):
+        sequence = np.random.SeedSequence(seed, spawn_key=spawn_key)
+        return np.random.Generator(np.random.Philox(sequence))
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**40 + 3])
+    def test_stream_is_numpy_philox_generator(self, seed):
+        for ours, theirs in [
+            (RngStream(seed), self.philox(seed)),
+            (RngStream.for_trial(seed, 5), self.philox(seed, spawn_key=(5,))),
+        ]:
+            assert isinstance(ours, np.random.Generator)
+            np.testing.assert_array_equal(ours.random(6), theirs.random(6))
+            np.testing.assert_array_equal(ours.exponential(0.5, 6), theirs.exponential(0.5, 6))
+            np.testing.assert_array_equal(ours.integers(10, size=6), theirs.integers(10, size=6))
+
     def test_same_seed_same_sequence(self):
         a, b = RngStream(42), RngStream(42)
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]

@@ -331,6 +331,10 @@ class TestHegerfeldtRegrowth:
             hegerfeldt_regrowth(1.0, [], params, grid)
         with pytest.raises(ValueError):
             hegerfeldt_regrowth(1.0, [0.0, -0.1], params, grid)
+        # a repeated time would drop a row of tail_mass_by_dt; -0.0 is 0.0
+        for dt_list in ([0.0, 0.001, 0.001, 0.002], [0.0, -0.0, 0.001]):
+            with pytest.raises(ValueError, match="distinct"):
+                hegerfeldt_regrowth(1.0, dt_list, params, grid)
 
 
 def dilemma(params, seed):
