@@ -115,9 +115,11 @@ def resolve_config(
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
 
+    # a missing or null section is empty; anything else must be a mapping
+    sections = {k: {} if raw.get(k) is None else raw[k] for k in ("physics", "grid", "params")}
     unit_defaults = PhysicsParams.scaled(lam=1e-3) if units == "scaled" else PhysicsParams()
     physics_fields = {key: _PHYSICS_FIELDS[key] for key in spec.physics}
-    section = raw.get("physics") or {}
+    section = sections["physics"]
     if "kernel" in physics_fields and isinstance(section, dict):
         # the kernel's fields join the physics fields; a falsy name fails below
         kernel = physics_fields["kernel"]
@@ -128,11 +130,11 @@ def resolve_config(
     grid = None
     if spec.grid is not None:
         grid_default = {"half_width": spec.grid[0] * physics["sigma"], "n_points": spec.grid[1]}
-        grid = resolve_fields(raw.get("grid") or {}, "grid", _GRID_FIELDS, grid_default)
+        grid = resolve_fields(sections["grid"], "grid", _GRID_FIELDS, grid_default)
         if grid["x_max"] <= grid["x_min"]:
             raise ConfigError("grid.x_max: must exceed grid.x_min")
 
-    params = resolve_fields(raw.get("params") or {}, "params", spec.fields, physics)
+    params = resolve_fields(sections["params"], "params", spec.fields, physics)
     if spec.check is not None:
         spec.check(params, physics, grid)
 

@@ -219,17 +219,12 @@ class RngStream(np.random.Generator):
     def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
         """(n_trials, 4) uniforms in [0, 1): row i is Philox counter block i.
 
-        Under the key that ``RngStream(seed)`` uses, row i equals
-        ``Philox(key=key, counter=i).random_raw(4)`` mapped to doubles the
-        way numpy's ``Generator.random`` maps them (top 53 bits), so a row
-        depends only on (seed, trial) and not on n_trials.
+        ``RngStream(seed).random((n_trials, 4))``: under the stream's key,
+        row i is ``Philox(key=key, counter=i).random_raw(4)`` mapped to
+        doubles (top 53 bits), so a row depends only on (seed, trial) and not
+        on n_trials.
         """
-        bits = np.random.Philox(np.random.SeedSequence(int(seed))).random_raw(4 * n_trials)
-        # in place: the raw bits and the doubles are the only full-size arrays
-        bits >>= np.uint64(11)
-        uniforms = bits.astype(np.float64)
-        uniforms *= 2.0**-53
-        return uniforms.reshape(n_trials, 4)
+        return RngStream(seed).random((n_trials, 4))
 
 
 @dataclass(frozen=True)
@@ -293,21 +288,21 @@ def sample_center(
     array and consumes no uniform.
     """
     p = kernel.center_density(mod_square_density(psi), psi.grid)
-    centers = psi.grid.points[draw_center_indices(p, rng, 1 if size is None else size)]
+    centers = psi.grid.points[draw_center_indices(p, rng.random(1 if size is None else size))]
     return centers if size is not None else float(centers[0])
 
 
-def draw_center_indices(density: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
-    """Grid indices of ``size`` centers drawn by inverse CDF from a center density.
+def draw_center_indices(density: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Grid indices of centers drawn by inverse CDF from a center density.
 
-    Consumes ``rng.random(size)``, one uniform per center.  Any finite
-    weight vector works: ``apply_branch_hit`` draws its branch with it.
+    One center per uniform in [0, 1).  Any finite weight vector works:
+    ``apply_branch_hit`` draws its branch with it.
     """
     cdf = np.cumsum(density)
     if cdf[-1] < NORM_FLOOR:
         raise ZeroNormError("center density vanishes everywhere")
-    u = rng.random(size) * cdf[-1]
-    return np.minimum(np.searchsorted(cdf, u, side="right"), density.size - 1)
+    indices = np.searchsorted(cdf, uniforms * cdf[-1], side="right")
+    return np.minimum(indices, density.size - 1, out=indices)
 
 
 def apply_hit(psi: WaveFunction1D, center: float, kernel: CollapseKernel) -> WaveFunction1D:
@@ -356,7 +351,7 @@ def apply_branch_hit(
     if not (0 <= particle < state.n_particles):
         raise IndexError(f"particle index out of range (n_particles = {state.n_particles})")
     pre = state.probabilities
-    k = int(draw_center_indices(pre, rng, 1)[0])
+    k = int(draw_center_indices(pre, rng.random(1))[0])
     positions = state.positions[:, particle]
     center = float(positions[k])
     # the positions matrix is read-only, so the post-hit state shares it

@@ -281,12 +281,12 @@ def post_hit_gains(
     spectra = _profile_spectrum(kernel, grid) if isinstance(kernel, _SmoothKernel) else ()
     if len(spectra) < 2 or kernel.sigma < 2.0 * grid.dx:
         before = energy_expectation(psi, params)
-        indices = draw_center_indices(kernel.center_density(rho, grid), rng, n_trials)
+        indices = draw_center_indices(kernel.center_density(rho, grid), rng.random(n_trials))
         hits = (apply_hit(psi, float(grid.points[i]), kernel) for i in indices)
         return np.array([energy_expectation(hit, params) for hit in hits]) - before
     rho_spectrum = np.fft.rfft(rho)
     density = kernel.center_density_from_spectrum(rho_spectrum, grid)
-    indices = draw_center_indices(density, rng, n_trials)
+    indices = draw_center_indices(density, rng.random(n_trials))
     norms = density[indices]
     if np.any(norms < NORM_FLOOR):
         z = float(grid.points[indices[np.argmin(norms)]])

@@ -148,6 +148,11 @@ OUT_OF_BOUNDS_CONFIGS = {
         "grid: {x_min: -16.0, x_max: 48.0, n_points: 4096}\n",
         "params.separation",
     ),
+    # a falsy section that is not a mapping; only a missing or null one is empty
+    "params_empty_list": ("scenario: measurement_chain\nparams: []\n", "params"),
+    "params_zero": ("scenario: billiard_collision\nparams: 0\n", "params"),
+    "physics_false": ("scenario: marble_in_box\nphysics: false\n", "physics"),
+    "grid_empty_string": ("scenario: kernel_dilemma\ngrid: ''\n", "grid"),
 }
 
 # Configs that once exited 2 and now run with every verdict true, except the
@@ -324,7 +329,7 @@ class TestRun:
             # grids too coarse to hold the packet
             ("kernel_dilemma", {"grid": {"n_points": 2}}, "grid.n_points"),
             ("hegerfeldt_regrowth", {"grid": {"n_points": 4}}, "grid.n_points"),
-            # the device rate is subnormal: every mean and 1 / rate overflow
+            # below the magnitude bound, which keeps the device rate in [1e-150, 1e156]
             ("measurement_chain", {"physics": {"lam": 1.0e-320}}, "physics.lam"),
             # dx = 8 physics.sigma, and dx = 16 params.s
             ("wallace_displacement", {"grid": {"n_points": 8}}, "grid.n_points"),
@@ -369,6 +374,30 @@ class TestRun:
         assert run(str(config), out_override=str(tmp_path / "out")) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # the rejections that no other test reaches, run without --out; the top
+    # level's message names the config file
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scenario: measurement_chain\nphysics: {kernel: gauss}\n", "physics.kernel:"),
+            ("- scenario: billiard_collision\n", "config.yaml: top level must be a mapping"),
+            ("scenario: billiard_collision\nunits: cgs\n", "units:"),
+            ("scenario: billiard_collision\nseed: -1\n", "seed:"),
+            ("scenario: billiard_collision\nseed: 1.5\n", "seed:"),
+            ("scenario: billiard_collision\nout_dir: [a]\n", "out_dir:"),
+            ("scenario: kernel_dilemma\ngrid: {x_min: 16.0, x_max: -16.0}\n", "grid.x_max:"),
+            ("scenario: kernel_dilemma\ngrid: {n_points: 2048.0}\n", "grid.n_points:"),
+            ("scenario: billiard_collision\nparams: [1]\n", "params:"),
+            ("scenario: wallace_displacement\nparams: {x: 1.0, y: 1.0}\n", "params.x/y:"),
+        ],
+    )
+    def test_rejection_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.chdir(tmp_path)
+        Path("config.yaml").write_text(text)
+        assert run("config.yaml") == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
 
     @pytest.mark.parametrize("text", EXIT_ZERO_CONFIGS.values(), ids=EXIT_ZERO_CONFIGS.keys())
     def test_once_failing_config_exits_zero_and_passes(self, tmp_path, text):
@@ -590,6 +619,24 @@ class TestResolveConfig:
         )["params"]
         assert (params["n_pointer"], params["n_trials"]) == (10**6, 10**6)
 
+    @pytest.mark.parametrize(
+        "lam, n_pointer", [(1.0e-150, 1), (1.0e150, 10**6)], ids=["slowest", "fastest"]
+    )
+    def test_device_rate_at_the_field_bounds_runs(self, lam, n_pointer):
+        # the rate n_pointer * lam lies in [1e-150, 1e156], so the summed waits
+        # of 10^6 trials, at most 10^6 * 53 ln 2 / rate, stay finite
+        config = resolve_config(
+            {
+                "scenario": "measurement_chain",
+                "physics": {"lam": lam},
+                "params": {"n_pointer": n_pointer, "n_trials": 10**6},
+            }
+        )
+        result = dispatch(config)
+        for key in ("mean_first_hit_time", "expected_first_hit_time", "mean_tail_weight"):
+            assert math.isfinite(result.summary[key])
+        assert all(result.verdicts.values())
+
     def test_grid_points_capped(self):
         # resolve only: 10^8 points would ask for 1.6 GB per complex array
         with pytest.raises(ConfigError, match=r"^grid\.n_points: must be in \[2, 2\^20\]"):
@@ -790,7 +837,8 @@ def with_examples(texts):
 @with_examples(EXIT_ZERO_CONFIGS.values())
 def test_config_near_its_defaults_exits_zero_or_one_naming_field(raw):
     # no config exits 2: a config that would fail at run time is rejected,
-    # and the rejection names the field to change
+    # and the rejection names the field to change (the section, where the
+    # section is not a mapping)
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "config.yaml"
         path.write_text(yaml.safe_dump(raw))
@@ -799,7 +847,8 @@ def test_config_near_its_defaults_exits_zero_or_one_naming_field(raw):
             code = run(str(path), out_override=str(Path(out) / "out"))
     assert code in (0, 1), err.getvalue()
     if code == 1:
-        assert re.match(r"config error: [a-z_]+\.[a-z_/]+[:,] ", err.getvalue()), err.getvalue()
+        field = r"[a-z_]+\.[a-z_/]+[:,] |(physics|grid|params): expected a mapping$"
+        assert re.match(rf"config error: ({field})", err.getvalue()), err.getvalue()
 
 
 class TestCliEntry:

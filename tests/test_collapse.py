@@ -309,6 +309,18 @@ class TestRunGrw:
         assert events == []
         np.testing.assert_array_equal(final.probabilities, state.probabilities)
 
+    def test_zero_duration_grid_runs_return_the_initial_state(self):
+        # the first wait overshoots and the run advances by 0, which returns
+        # the state as it is: evolve would reject the trapped run's step of 0
+        grid = Grid1D(-20.0, 20.0, 512)
+        params = PhysicsParams.scaled(lam=1.0)
+        psi = gaussian_packet(grid, 1.0, 1.0)
+        potential = harmonic_potential(grid, params, 1.0)
+        for extra in ({}, {"potential": potential, "dt": 0.01}):
+            final, events = run_grw(psi, 0.0, GaussianKernel(1.0), params, RngStream(3), **extra)
+            assert final is psi
+            assert events == []
+
     def test_poisson_event_count(self):
         # expected hits = n lam T = 100; +-3 sigma window [70, 130]
         state = two_branch(0.5, 4.0, n_particles=10)
@@ -398,7 +410,7 @@ class TestRunGrw:
 
     @staticmethod
     def inverse_cdf(weights, rng):
-        # one uniform per draw, as draw_center_indices consumes it
+        # one uniform per draw, as draw_center_indices takes them
         cdf = np.cumsum(weights)
         return min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), cdf.size - 1)
 
@@ -499,15 +511,15 @@ class TestRngStream:
         )
 
     def test_trial_uniforms_peak_near_raw_bits_plus_result(self):
-        # the raw bits and the doubles are each the result's size; one more
-        # full-size temporary would read 3x
+        # the doubles are the only full-size array; a copy of the raw bits
+        # beside them would read 2x
         tracemalloc.start()
         try:
             u = RngStream.trial_uniforms(3, 10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.1 * u.nbytes
+        assert peak < 1.1 * u.nbytes
 
 
 class TestCollapseEvent:

@@ -444,7 +444,7 @@ class TestEnergyGainPerHit:
         params = PhysicsParams.scaled()
         kernel = GaussianKernel(2.0 * grid.dx if sigma is None else sigma)
         density = kernel.center_density(mod_square_density(psi), grid)
-        indices = draw_center_indices(density, RngStream(5), 300)
+        indices = draw_center_indices(density, RngStream(5).random(300))
         per_hit = [
             energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
             for i in indices
@@ -462,7 +462,7 @@ class TestEnergyGainPerHit:
         kernel, params = GaussianKernel(0.5 * grid.dx), PhysicsParams.scaled()
         before = energy_expectation(psi, params)
         density = kernel.center_density(mod_square_density(psi), grid)
-        indices = draw_center_indices(density, RngStream(9), 200)
+        indices = draw_center_indices(density, RngStream(9).random(200))
         gains = np.array(
             [
                 energy_expectation(apply_hit(psi, float(grid.points[i]), kernel), params)
@@ -518,8 +518,8 @@ class TestEnergyGainPerHit:
         kernel = GaussianKernel(1.0)
         drawn = []
 
-        def spy(density, rng, size):
-            indices = draw_center_indices(density, rng, size)
+        def spy(density, uniforms):
+            indices = draw_center_indices(density, uniforms)
             drawn.append(grid.points[indices])
             return indices
 
