@@ -112,8 +112,8 @@ def resolve_config(
         raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
 
     out_dir = out_override or raw.get("out_dir", "grwlab_out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"out_dir: expected a non-empty path string, got {out_dir!r}")
 
     # a missing or null section is empty; anything else must be a mapping
     sections = {k: {} if raw.get(k) is None else raw[k] for k in ("physics", "grid", "params")}

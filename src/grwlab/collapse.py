@@ -151,8 +151,7 @@ class CompactSupportKernel(_SmoothKernel):
 
     def amplitude_factor(self, distance):
         d = np.asarray(distance, dtype=np.float64)
-        inside = np.abs(d) <= self.window
-        return np.exp(-np.square(d) / (4.0 * self.sigma**2)) * inside
+        return GaussianKernel(self.sigma).amplitude_factor(d) * (np.abs(d) <= self.window)
 
     def center_profile(self, offsets: np.ndarray) -> np.ndarray:
         profile = GaussianKernel(self.sigma).center_profile(offsets)

@@ -29,7 +29,7 @@ from .errors import (
     ZeroNormError,
     ZeroProfileError,
 )
-from .propagator import Potential1D
+from .propagator import Potential1D, _kinetic_energies
 from .state import (
     NORM_FLOOR,
     BranchedState,
@@ -240,11 +240,9 @@ def energy_expectation(
 ) -> float:
     """<H> = sum_k (hbar^2 k^2 / 2m) |psi_k|^2 dx + sum_i V_i |psi_i|^2 dx."""
     grid = psi.grid
+    energies, mirror = _kinetic_energies(grid, params)
     psi_k = momentum_representation(psi)
-    kinetic = float(
-        np.sum((params.hbar**2 * grid.wavenumbers**2 / (2.0 * params.mass)) * np.abs(psi_k) ** 2)
-        * grid.dx
-    )
+    kinetic = float(np.sum(params.hbar * energies[mirror] * np.abs(psi_k) ** 2) * grid.dx)
     if potential is None:
         return kinetic
     if potential.grid != grid:

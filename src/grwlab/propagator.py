@@ -79,14 +79,14 @@ def evolve_free(psi: WaveFunction1D, params: PhysicsParams, dt: float) -> WaveFu
     """Exact free evolution: each momentum component gains exp(-i hbar k^2 dt / 2m).
 
     dt may be negative (backward evolution); the map is unitary either way.
+    The phase is ``evolve``'s kinetic phase, from the cached ``_kinetic_energies``.
     """
     if not np.isfinite(dt):
         raise NonFiniteInputError(f"dt = {dt!r}")
     if dt == 0.0:
         return psi
-    k = psi.grid.wavenumbers
-    phase = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
-    amps = np.fft.ifft(phase * np.fft.fft(psi.amplitudes))
+    energies, mirror = _kinetic_energies(psi.grid, params)
+    amps = np.fft.ifft(_unit_phases(energies * -dt)[mirror] * np.fft.fft(psi.amplitudes))
     return WaveFunction1D(psi.grid, amps)
 
 

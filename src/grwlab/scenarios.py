@@ -733,7 +733,7 @@ def _kernel(physics: dict) -> CollapseKernel:
 
 def _amplitudes_close(params: dict, physics: dict, grid: None) -> None:
     closure = abs(complex(*params["a"])) ** 2 + abs(complex(*params["b"])) ** 2
-    if abs(closure - 1.0) > 1e-9:
+    if abs(closure - 1.0) > NORM_TOL:
         raise ConfigError(f"params.a/b: |a|^2 + |b|^2 = {closure!r}, must equal 1")
 
 

@@ -386,6 +386,7 @@ class TestRun:
             ("scenario: billiard_collision\nseed: -1\n", "seed:"),
             ("scenario: billiard_collision\nseed: 1.5\n", "seed:"),
             ("scenario: billiard_collision\nout_dir: [a]\n", "out_dir:"),
+            ('scenario: billiard_collision\nout_dir: ""\n', "out_dir:"),
             ("scenario: kernel_dilemma\ngrid: {x_min: 16.0, x_max: -16.0}\n", "grid.x_max:"),
             ("scenario: kernel_dilemma\ngrid: {n_points: 2048.0}\n", "grid.n_points:"),
             ("scenario: billiard_collision\nparams: [1]\n", "params:"),

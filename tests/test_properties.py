@@ -1,5 +1,6 @@
 """Property tests (Hypothesis) for the grid primitives behind run_grw:
-``Grid1D.wrap``, Strang ``evolve`` and ``center_density`` with its cached
+``Grid1D.wrap``, Strang ``evolve``, ``evolve_free`` and the kinetic energy
+against the formulas they replace, and ``center_density`` with its cached
 profile spectra."""
 
 import warnings
@@ -17,10 +18,13 @@ from grwlab import (
     PhysicsParams,
     Potential1D,
     WaveFunction1D,
+    energy_expectation,
     evolve,
+    evolve_free,
     gaussian_packet,
     harmonic_potential,
     mod_square_density,
+    momentum_representation,
 )
 from grwlab.collapse import _profile_spectrum
 from grwlab.errors import BoundaryContamination
@@ -51,6 +55,29 @@ def reference_strang(psi, potential, params, dt, n_steps):
         amps = np.fft.ifft(kinetic * np.fft.fft(amps))
         amps *= half * half
     return np.fft.ifft(kinetic * np.fft.fft(amps)) * half
+
+
+def reference_evolve_free(psi, params, dt):
+    """Free evolution written out directly: the phase from k^2 over all n
+    wavenumbers, as one complex exp."""
+    k = psi.grid.wavenumbers
+    phase = np.exp(-1j * params.hbar * k**2 * dt / (2.0 * params.mass))
+    return np.fft.ifft(phase * np.fft.fft(psi.amplitudes))
+
+
+def reference_kinetic_energy(psi, params):
+    """The kinetic term of <H> written out directly over all n wavenumbers."""
+    grid = psi.grid
+    psi_k = momentum_representation(psi)
+    weights = params.hbar**2 * grid.wavenumbers**2 / (2.0 * params.mass)
+    return float(np.sum(weights * np.abs(psi_k) ** 2) * grid.dx)
+
+
+def reference_compact_factor(kernel, d):
+    """The compact kernel's amplitude factor with its Gaussian interior spelled out."""
+    d = np.asarray(d, dtype=np.float64)
+    inside = np.abs(d) <= kernel.window
+    return np.exp(-np.square(d) / (4.0 * kernel.sigma**2)) * inside
 
 
 def quiet_evolve(*args):
@@ -138,6 +165,62 @@ class TestEvolveProperties:
         np.testing.assert_array_equal(
             energies[mirror], params.hbar * k**2 / (2.0 * params.mass)
         )
+
+
+class TestKineticOperator:
+    """evolve_free and energy_expectation read the Strang step's cached
+    kinetic energies; in scaled units (hbar = m = 1) they reproduce the
+    formulas they replace bit for bit, and in SI units up to the rounding
+    order of hbar k^2 dt / 2m."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even_n", "odd_n"])
+    @given(
+        half=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.floats(1e-3, 50.0),
+        backward=st.booleans(),
+    )
+    @FFT_SETTINGS
+    def test_scaled_units_are_bit_identical(self, parity, half, seed, dt, backward):
+        params = PhysicsParams.scaled()
+        grid = Grid1D(-10.0, 10.0, 2 * half + parity)
+        psi = random_state(grid, seed)
+        dt = -dt if backward else dt
+        out = evolve_free(psi, params, dt).amplitudes
+        reference = reference_evolve_free(psi, params, dt)
+        np.testing.assert_array_equal(out.view(np.int64), reference.view(np.int64))
+        assert energy_expectation(psi, params) == reference_kinetic_energy(psi, params)
+
+    # the bare SI configs' scale: sigma = 1e-5 m, a box of +-16 sigma and
+    # times in units of the dispersion scale m sigma^2 / hbar
+    @pytest.mark.parametrize("n", [2047, 2048])
+    @pytest.mark.parametrize("scale", [-0.7, 0.1, 1.0, 3.0])
+    def test_si_units_agree_to_rounding(self, n, scale):
+        params = PhysicsParams()
+        sigma = params.sigma
+        grid = Grid1D(-16.0 * sigma, 16.0 * sigma, n)
+        psi = gaussian_packet(grid, 2.0 * sigma, 0.5 * sigma, 3.0 / sigma)
+        dt = scale * params.mass * sigma**2 / params.hbar
+        out = evolve_free(psi, params, dt).amplitudes
+        reference = reference_evolve_free(psi, params, dt)
+        assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+        energy = reference_kinetic_energy(psi, params)
+        assert abs(energy_expectation(psi, params) - energy) <= 1e-13 * energy
+
+    @given(
+        sigma=st.floats(1e-6, 1e3),
+        window=st.floats(1e-6, 1e3),
+        offsets=st.lists(st.floats(-1e4, 1e4), max_size=32),
+    )
+    def test_compact_factor_is_the_gaussian_inside_the_window(self, sigma, window, offsets):
+        kernel = CompactSupportKernel(sigma, window)
+        beyond = np.nextafter(window, np.inf)
+        d = np.array([0.0, -0.0, window, -window, beyond, -beyond, *offsets])
+        factor = kernel.amplitude_factor(d)
+        reference = reference_compact_factor(kernel, d)
+        np.testing.assert_array_equal(factor.view(np.int64), reference.view(np.int64))
+        np.testing.assert_array_equal(factor[4:6], [0.0, 0.0])
+        assert kernel.amplitude_factor(window) == reference_compact_factor(kernel, window)
 
 
 class TestCenterDensity:
