@@ -57,33 +57,28 @@ class _SmoothKernel:
     def center_density_from_spectrum(self, rho_spectrum: np.ndarray, grid: Grid1D) -> np.ndarray:
         """p(z) from ``np.fft.rfft(rho)``, for a caller that reuses that spectrum.
 
-        One irfft: the profile's spectrum is cached per (kernel, grid) by
-        ``_profile_spectrum``, so a hit pays for the transforms of rho alone.
+        One irfft: the center profile's spectrum is cached per (kernel, grid)
+        by ``_profile_spectrum``, so a hit pays for the transforms of rho alone.
         """
         # circular convolution: p_j = sum_i K(x_j - x_i) rho_i dx
-        spectrum = rho_spectrum * _profile_spectrum(self, grid)[0]
+        spectrum = rho_spectrum * _profile_spectrum(self, grid)
         p = np.fft.irfft(spectrum, grid.n_points) * grid.dx
         np.clip(p, 0.0, None, out=p)
         return p
 
 
 @functools.lru_cache(maxsize=8)
-def _profile_spectrum(kernel: _SmoothKernel, grid: Grid1D) -> tuple[np.ndarray, ...]:
-    """Read-only rffts of the kernel's profiles at the grid offsets from x_min.
+def _profile_spectrum(kernel: _SmoothKernel, grid: Grid1D) -> np.ndarray:
+    """Read-only rfft of center_profile at the grid offsets from x_min.
 
-    Entry 0 is center_profile's (g^2 for the normalized amplitude kernel g),
-    which the center density reads.  For a kernel with a by-parts profile
-    (the Gaussian), entry 1 is that of h = -g g'', which
-    ontology.post_hit_gains reads.  Kernels and grids are frozen and compare
-    by value, so equal pairs share one entry; at most eight pairs are kept.
+    For the normalized amplitude kernel g the profile is g^2; the center
+    density and ontology.post_hit_gains read its spectrum.  Kernels and
+    grids are frozen and compare by value, so equal pairs share one entry;
+    at most eight pairs are kept.
     """
-    offsets = grid.wrap(grid.points - grid.x_min)
-    h = kernel.by_parts_profile(offsets)
-    profiles = (kernel.center_profile(offsets),) + (() if h is None else (h,))
-    spectra = tuple(np.fft.rfft(profile) for profile in profiles)
-    for spectrum in spectra:
-        spectrum.setflags(write=False)
-    return spectra
+    spectrum = np.fft.rfft(kernel.center_profile(grid.wrap(grid.points - grid.x_min)))
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -112,19 +107,6 @@ class GaussianKernel(_SmoothKernel):
         """Normal density of variance sigma^2 at the given offsets."""
         sigma = self.sigma
         return np.exp(-(offsets**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
-
-    def by_parts_profile(self, offsets: np.ndarray) -> np.ndarray:
-        """h = -g g'' = (1/(2 sigma^2) - u^2/(4 sigma^4)) g^2 at offsets u, for
-        the normalized amplitude kernel g.
-
-        By parts on the periodic box, the integral of |(g psi)'|^2 is that of
-        g^2 |psi'|^2 + h rho, so every post-hit energy follows from
-        correlations with g^2 (center_profile) and h (see
-        ontology.post_hit_gains).  The integral of h is 1 / (4 sigma^2): the
-        Born-averaged gain in units of hbar^2 / 2m.
-        """
-        s2 = self.sigma**2
-        return (0.5 / s2 - offsets**2 / (4.0 * s2**2)) * self.center_profile(offsets)
 
 
 @dataclass(frozen=True)
@@ -157,10 +139,6 @@ class CompactSupportKernel(_SmoothKernel):
         profile = GaussianKernel(self.sigma).center_profile(offsets)
         profile = profile * (np.abs(offsets) <= self.window)
         return profile / math.erf(self.window / (self.sigma * math.sqrt(2.0)))
-
-    def by_parts_profile(self, offsets: np.ndarray) -> None:
-        """None: the jump at the window edge has no g'', so each hit is priced."""
-        return None
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .collapse import (
     CollapseKernel,
+    GaussianKernel,
     RngStream,
     _profile_spectrum,
-    _SmoothKernel,
     apply_hit,
     draw_center_indices,
 )
@@ -260,24 +260,26 @@ def post_hit_gains(
     """Kinetic <H> after a hit minus <H> before, at ``n_trials`` drawn centers.
 
     Centers are drawn from the center density exactly as ``sample_center``
-    draws them.  For a kernel with a by-parts profile h = -g g'' (the
-    Gaussian) resolved by the grid (sigma >= 2 dx, the rule of
-    ``scenarios._resolves_widths``), the energy at every center z is
+    draws them.  For a Gaussian resolved by the grid (sigma >= 2 dx, the rule
+    of ``scenarios._resolves_widths``) with normalized amplitude kernel g,
+    by parts on the periodic box the integral of |(g psi)'|^2 is that of
+    g^2 |psi'|^2 + h rho with h = -g g'', so the energy at every center z is
 
         E(z) = (hbar^2 / 2m) [C(|psi'|^2, g^2) + C(rho, h)] / C(rho, g^2)
 
     with C(a, f)(z) = sum_x a(x) f(x - z) dx, psi' the spectral derivative
-    and C(rho, g^2) the center density.  The profiles' spectra are the
-    (kernel, grid) entry of ``collapse._profile_spectrum``, rfft(rho) feeds
-    both correlations with rho and E(before) is (hbar^2 / 2m) sum |psi'|^2 dx,
-    so a call runs 1 fft, 1 ifft, 2 rfft and 2 irfft whatever n_trials.  An
-    unresolved Gaussian, whose closed form drifts from the per-hit energies
-    below about 1.3 dx, and any other kernel apply and price each hit.
+    and C(rho, g^2) the center density.  Since h = -(g^2)''/4 + g^2/(4 sigma^2),
+    its spectrum is that of g^2 (the (kernel, grid) entry of
+    ``collapse._profile_spectrum``) times k^2/4 + 1/(4 sigma^2).  rfft(rho)
+    feeds both correlations with rho and E(before) is
+    (hbar^2 / 2m) sum |psi'|^2 dx, so a call runs 1 fft, 1 ifft, 2 rfft and
+    2 irfft whatever n_trials.  An unresolved Gaussian, whose closed form
+    drifts from the per-hit energies below about 1.3 dx, and any other
+    kernel apply and price each hit.
     """
     grid = psi.grid
     rho = mod_square_density(psi)
-    spectra = _profile_spectrum(kernel, grid) if isinstance(kernel, _SmoothKernel) else ()
-    if len(spectra) < 2 or kernel.sigma < 2.0 * grid.dx:
+    if not (isinstance(kernel, GaussianKernel) and kernel.sigma >= 2.0 * grid.dx):
         before = energy_expectation(psi, params)
         indices = draw_center_indices(kernel.center_density(rho, grid), rng.random(n_trials))
         hits = (apply_hit(psi, float(grid.points[i]), kernel) for i in indices)
@@ -289,10 +291,12 @@ def post_hit_gains(
     if np.any(norms < NORM_FLOOR):
         z = float(grid.points[indices[np.argmin(norms)]])
         raise ZeroNormError(f"hit at z = {z!r} with {kernel.label} annihilated the state")
-    d_density = np.abs(np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(psi.amplitudes))) ** 2
+    k = grid.wavenumbers
+    d_density = np.abs(np.fft.ifft(1j * k * np.fft.fft(psi.amplitudes))) ** 2
     # circular convolutions with profiles indexed by z - x, as in center_density
-    spectrum = np.fft.rfft(d_density) * spectra[0]
-    spectrum += rho_spectrum * spectra[1]
+    by_parts = np.square(k[: grid.n_points // 2 + 1]) / 4.0 + 1.0 / (4.0 * kernel.sigma**2)
+    spectrum = np.fft.rfft(d_density) + rho_spectrum * by_parts
+    spectrum *= _profile_spectrum(kernel, grid)
     numerator = np.fft.irfft(spectrum, grid.n_points)
     scale = params.hbar**2 / (2.0 * params.mass) * grid.dx
     return scale * (numerator[indices] / norms - float(np.sum(d_density)))
@@ -314,7 +318,8 @@ def energy_gain_per_hit(
     For a GaussianKernel the Born-averaged gain is hbar^2 / (8 m sigma^2)
     for any state (hbar^2 / (4 m r_C^2) with r_C = sqrt(2) sigma): the
     center density cancels in the mean, which leaves E(before) plus
-    (hbar^2 / 2m) times the integral of h, 1 / (4 sigma^2).
+    (hbar^2 / 2m) times the integral of h = -g g'', the k = 0 value
+    1 / (4 sigma^2) of its spectrum's factor k^2/4 + 1/(4 sigma^2).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")

@@ -44,7 +44,6 @@ from .ontology import (
     isomorphism_score,
     matter_density,
     peak_position,
-    region_fraction,
     tail_mass,
 )
 from .propagator import BOUNDARY_DENSITY_LIMIT, boundary_density, evolve_free
@@ -136,11 +135,10 @@ def measurement_chain(
     if separation <= 0:
         raise ValueError(f"separation must be positive, got {separation}")
 
+    # every pointer particle of a branch sits at one position, so one
+    # position per branch stands for the device; n_pointer sets the rate
     state = BranchedState.from_amplitudes(
-        [a, b],
-        ["0", "1"],
-        [np.zeros(n_pointer), separation * np.ones(n_pointer)],
-        branch_width=separation / 20.0,
+        [a, b], ["0", "1"], [[0.0], [separation]], branch_width=separation / 20.0
     )
     rate = hit_rate(n_pointer, params)
     suppression = float(kernel.amplitude_factor(np.array([separation]))[0])
@@ -151,8 +149,7 @@ def measurement_chain(
     tail_if_1 = p0 * f2 / (p1 + p0 * f2) if p1 + p0 * f2 > 0 else None
 
     # One Philox counter block per trial: (wait, hit particle, branch, unused).
-    # Every pointer particle of a branch sits at one position, so the hit
-    # particle does not change the outcome and its draw goes unused.
+    # The hit particle does not change the outcome, so its draw goes unused.
     u = RngStream.trial_uniforms(seed, n_trials)
     times = np.log1p(-u[:, 0])
     times /= -rate
@@ -251,8 +248,8 @@ def marble_in_box(
         branch_width=width,
     )
     density = matter_density(state, [marble_mass], grid)
-    fraction_outside = 1.0 - region_fraction(density, (lo, hi))
     verdict = fuzzy_link(density, (lo, hi), q)
+    fraction_outside = 1.0 - verdict.fraction_inside
 
     # each branch alone: matter_density skips the branch of weight 0
     profile_in, profile_out = (
@@ -263,8 +260,8 @@ def marble_in_box(
     rng = RngStream(seed)
     post_state, event = apply_branch_hit(state, 0, kernel, rng)
     post_density = matter_density(post_state, [marble_mass], grid)
-    post_fraction_outside = 1.0 - region_fraction(post_density, (lo, hi))
     post_verdict = fuzzy_link(post_density, (lo, hi), q)
+    post_fraction_outside = 1.0 - post_verdict.fraction_inside
 
     summary = {
         "matter_fraction_outside": fraction_outside,
@@ -456,7 +453,7 @@ def hegerfeldt_regrowth(
         rows.append([float(dt), tail_mass(evolved, support)])
 
     positive = sorted((dt, tm) for dt, tm in rows if dt > 0)
-    first = positive[: min(5, len(positive))]
+    first = positive[:5]
     monotone = all(first[i][1] < first[i + 1][1] for i in range(len(first) - 1))
     zero_rows = [tm for dt, tm in rows if dt == 0.0]
 

@@ -481,7 +481,7 @@ class TestEnergyGainPerHit:
         psi = gaussian_packet(grid, -3.0, 2.0, wavenumber=3.0)
         kernel, params = GaussianKernel(1.0), PhysicsParams.scaled()
         energy_gain_per_hit(psi, kernel, params, RngStream(5), 100)
-        spectra = _profile_spectrum(kernel, grid)
+        spectrum = _profile_spectrum(kernel, grid)
         counts = dict.fromkeys(["fft", "ifft", "rfft", "irfft"], 0)
 
         def counting(name, transform):
@@ -495,9 +495,11 @@ class TestEnergyGainPerHit:
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         energy_gain_per_hit(psi, kernel, params, RngStream(5), 100)
         assert counts == {"fft": 1, "ifft": 1, "rfft": 2, "irfft": 2}
-        # the second call read the same entry, which holds the two spectra
-        assert _profile_spectrum(kernel, grid) is spectra
-        assert len(spectra) == 2
+        # the second call read the same entry: the center profile's spectrum,
+        # which also gives that of h = -g g''
+        assert _profile_spectrum(kernel, grid) is spectrum
+        offsets = grid.wrap(grid.points - grid.x_min)
+        np.testing.assert_array_equal(spectrum, np.fft.rfft(kernel.center_profile(offsets)))
 
     def test_closed_form_raises_where_the_center_density_vanishes(self, monkeypatch):
         # like apply_hit, which raises where the hit annihilates the state

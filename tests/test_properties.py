@@ -1,7 +1,7 @@
 """Property tests (Hypothesis) for the grid primitives behind run_grw:
 ``Grid1D.wrap``, Strang ``evolve``, ``evolve_free`` and the kinetic energy
 against the formulas they replace, and ``center_density`` with its cached
-profile spectra."""
+profile spectrum."""
 
 import warnings
 
@@ -257,15 +257,25 @@ class TestCenterDensity:
             assert abs(total - 1.0) <= 1e-12
 
 
+def reference_by_parts_profile(sigma, offsets):
+    """h = -g g'' = (1/(2 sigma^2) - u^2/(4 sigma^4)) g^2 at offsets u, for the
+    normalized Gaussian amplitude kernel g, written out directly."""
+    s2 = sigma**2
+    return (0.5 / s2 - offsets**2 / (4.0 * s2**2)) * GaussianKernel(sigma).center_profile(offsets)
+
+
 class TestProfileSpectrumCache:
     def test_cached_spectrum_is_read_only_and_reused(self):
         grid, kernel = Grid1D(-8.0, 8.0, 64), GaussianKernel(1.0)
-        spectra = _profile_spectrum(kernel, grid)
-        assert _profile_spectrum(kernel, grid) is spectra
-        for spectrum in spectra:
-            assert not spectrum.flags.writeable
-            with pytest.raises(ValueError):
-                spectrum[0] = 0.0
+        spectrum = _profile_spectrum(kernel, grid)
+        assert isinstance(spectrum, np.ndarray)
+        offsets = grid.wrap(grid.points - grid.x_min)
+        np.testing.assert_array_equal(spectrum, np.fft.rfft(kernel.center_profile(offsets)))
+        # equal by value, not by identity
+        assert _profile_spectrum(GaussianKernel(1.0), Grid1D(-8.0, 8.0, 64)) is spectrum
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
         assert _profile_spectrum.cache_info().maxsize == 8
 
     @given(
@@ -281,24 +291,24 @@ class TestProfileSpectrumCache:
         pairs = [(k, Grid1D(*b, n)) for k, b, n in zip(kernels, bounds, sizes)]
         for kernel, grid in pairs + pairs[::-1]:
             offsets = grid.wrap(grid.points - grid.x_min)
-            spectra = _profile_spectrum(kernel, grid)
-            np.testing.assert_array_equal(spectra[0], np.fft.rfft(kernel.center_profile(offsets)))
-            # a kernel with a by-parts profile h adds its spectrum
-            h = kernel.by_parts_profile(offsets)
-            assert len(spectra) == (1 if h is None else 2)
-            if h is not None:
-                np.testing.assert_array_equal(spectra[1], np.fft.rfft(h))
-        if pairs[0] != pairs[1]:
-            assert _profile_spectrum(*pairs[0]) is not _profile_spectrum(*pairs[1])
+            spectrum = _profile_spectrum(kernel, grid)
+            np.testing.assert_array_equal(spectrum, np.fft.rfft(kernel.center_profile(offsets)))
+        shared = _profile_spectrum(*pairs[0]) is _profile_spectrum(*pairs[1])
+        assert shared == (pairs[0] == pairs[1])
 
     @given(
         n=st.sampled_from([2047, 2048, 8192]),
         fraction=st.floats(0.0, 1.0),
     )
     @FFT_SETTINGS
-    def test_by_parts_profile_integrates_to_the_law(self, n, fraction):
-        # the integral of h = -g g'' is 1 / (4 sigma^2) for every resolved width
+    def test_scaled_center_spectrum_gives_the_by_parts_profile(self, n, fraction):
+        # h = -(g^2)''/4 + g^2/(4 sigma^2), so its spectrum is the center
+        # spectrum times k^2/4 + 1/(4 sigma^2), whose k = 0 value is the law
         grid = Grid1D(-32.0, 32.0, n)
         sigma = 2.0 * grid.dx + fraction * (3.0 - 2.0 * grid.dx)
-        h = GaussianKernel(sigma).by_parts_profile(grid.wrap(grid.points - grid.x_min))
+        k = grid.wavenumbers[: n // 2 + 1]
+        factor = k**2 / 4.0 + 1.0 / (4.0 * sigma**2)
+        h = np.fft.irfft(_profile_spectrum(GaussianKernel(sigma), grid) * factor, n)
+        reference = reference_by_parts_profile(sigma, grid.wrap(grid.points - grid.x_min))
+        assert np.max(np.abs(h - reference)) <= 1e-9 * np.max(np.abs(reference))
         assert abs(float(np.sum(h)) * grid.dx * 4.0 * sigma**2 - 1.0) <= 1e-12

@@ -1,6 +1,7 @@
 """Scenario-level behavior: examples, self-consistency, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,30 @@ class TestMeasurementChain:
             else:
                 assert permuted.summary[key] == value, key
         assert permuted.verdicts == baseline.verdicts
+
+    def test_memory_does_not_grow_with_n_pointer(self, params):
+        def run():
+            return measurement_chain(
+                a=math.sqrt(0.5),
+                b=math.sqrt(0.5),
+                n_pointer=10**6,
+                separation=4.0,
+                kernel=GaussianKernel(1.0),
+                params=params,
+                n_trials=100,
+                seed=19,
+            )
+
+        run()  # numpy's first-call set-up is not the scenario's
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one position per branch: two pointer rows of 10**6 doubles would
+        # take 16 MiB
+        assert peak < 1024 * 1024
 
     def test_rejects_unnormalized_amplitudes(self, params):
         with pytest.raises(NotNormalizedError):
